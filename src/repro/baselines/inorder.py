@@ -1,68 +1,18 @@
 """The vanilla in-order baseline.
 
-This is :class:`~repro.engine.base.CoreModel` unchanged except for a
-merged per-cycle hot path: the pipeline stalls at the first instruction
-that uses a missing load's value, while independent accesses behind it
-in the fetch queue wait.  Table 1's non-blocking hierarchy still
-overlaps misses that issue before the pipeline blocks.
+This is :class:`~repro.engine.base.CoreModel` unchanged: the pipeline
+stalls at the first instruction that uses a missing load's value, while
+independent accesses behind it in the fetch queue wait.  Table 1's
+non-blocking hierarchy still overlaps misses that issue before the
+pipeline blocks.
 """
 
 from __future__ import annotations
 
-from ..engine.base import CoreModel, ISSUED
-from ..memory.hierarchy import NO_MSHRS
+from ..engine.base import CoreModel
 
 
 class InOrderCore(CoreModel):
     """2-way superscalar stall-on-use in-order pipeline."""
 
     name = "in-order"
-
-    def step_cycle(self) -> None:
-        # Merged copy of CoreModel.step_cycle (phases flattened into one
-        # frame; the base phase methods remain the reference semantics —
-        # the golden fixtures pin equivalence).
-        cycle = self.cycle + 1
-        self.cycle = cycle
-        # begin_cycle (retire fast path inlined)
-        hierarchy = self.hierarchy
-        ifetch_mshrs = hierarchy.ifetch_mshrs
-        if (ifetch_mshrs._next_ready is not None
-                and cycle >= ifetch_mshrs._next_ready):
-            ifetch_mshrs.retire_complete(cycle)
-        data_mshrs = hierarchy.mshrs
-        if data_mshrs._next_ready is not None and cycle >= data_mshrs._next_ready:
-            self.returned_mshrs = data_mshrs.retire_complete(cycle)
-        else:
-            self.returned_mshrs = NO_MSHRS
-        # do_issue
-        ports = self.ports
-        ports.int_free = ports.int_capacity
-        ports.mem_free = ports.mem_capacity
-        progress = False
-        fetch_queue = self.fetch_queue
-        if fetch_queue:
-            slots = self._width
-            try_issue = self.try_issue
-            while slots > 0 and fetch_queue:
-                entry = fetch_queue[0]
-                if entry.decode_ready > cycle:
-                    break
-                if try_issue(entry) is not ISSUED:
-                    break
-                fetch_queue.popleft()
-                progress = True
-                slots -= 1
-        self._progress = progress
-        # do_fetch (shared body; guard saves the call when idle)
-        if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
-                and self.cursor < self._trace_len
-                and len(fetch_queue) < self._fq_depth):
-            self.do_fetch()
-        # store drain
-        store_queue = self.store_queue
-        if store_queue._queue and store_queue.drain_step(
-                self.hierarchy, cycle, self.committed_memory):
-            self._progress = True
-        if not self._progress:
-            self._leap_to_horizon()

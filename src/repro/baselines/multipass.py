@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from ..engine.base import FetchEntry, ISSUED, STALLED
 from ..functional.trace import DynInst
-from ..memory.hierarchy import NO_MSHRS
 from .runahead import RUNAHEAD, RunaheadCore
 
 
@@ -43,44 +42,12 @@ class MultipassCore(RunaheadCore):
             return entry.decode_ready
         return super()._head_wakeup(entry)
 
-    def try_issue(self, entry: FetchEntry) -> str:
-        if entry.dyn.index in self._results:
-            return self._issue_reused(entry)
-        return self._mode_issue(entry)
-
-    def do_issue(self) -> None:
-        # Specialised copy of CoreModel.do_issue with the result-reuse
-        # check inlined ahead of the mode-bound issue path.
-        ports = self.ports
-        ports.int_free = ports.int_capacity
-        ports.mem_free = ports.mem_capacity
-        fetch_queue = self.fetch_queue
-        if not fetch_queue:
-            return
-        slots = self._width
-        cycle = self.cycle
-        results = self._results
-        while slots > 0 and fetch_queue:
-            entry = fetch_queue[0]
-            if entry.decode_ready > cycle:
-                break
-            if entry.dyn.index in results:
-                status = self._issue_reused(entry)
-            else:
-                status = self._mode_issue(entry)
-            if status is not ISSUED:
-                break
-            fetch_queue.popleft()
-            self._progress = True
-            slots -= 1
-
     def step_cycle(self) -> None:
-        # Merged copy of RunaheadCore.step_cycle with the result-reuse
-        # check inlined into the issue loop (kept in sync with the phase
-        # methods; the golden fixtures pin its equivalence).
+        # RunaheadCore.step_cycle with the result-reuse check inlined
+        # ahead of the mode-bound issue path.
         cycle = self.cycle + 1
         self.cycle = cycle
-        # begin_cycle (retire fast path inlined)
+        # Fill returns (MemoryHierarchy.retire_mshrs, inlined).
         hierarchy = self.hierarchy
         ifetch_mshrs = hierarchy.ifetch_mshrs
         if (ifetch_mshrs._next_ready is not None
@@ -88,12 +55,10 @@ class MultipassCore(RunaheadCore):
             ifetch_mshrs.retire_complete(cycle)
         data_mshrs = hierarchy.mshrs
         if data_mshrs._next_ready is not None and cycle >= data_mshrs._next_ready:
-            self.returned_mshrs = data_mshrs.retire_complete(cycle)
-        else:
-            self.returned_mshrs = NO_MSHRS
+            data_mshrs.retire_complete(cycle)
         if self.mode == RUNAHEAD and cycle >= self._trigger_ready:
             self._exit_runahead()
-        # do_issue (with result reuse)
+        # Issue (with result reuse).
         ports = self.ports
         ports.int_free = ports.int_capacity
         ports.mem_free = ports.mem_capacity
@@ -116,12 +81,12 @@ class MultipassCore(RunaheadCore):
                 progress = True
                 slots -= 1
         self._progress = progress
-        # do_fetch (shared body; guard saves the call when idle)
+        # Fetch (the guard saves the call when the front end is idle).
         if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
                 and self.cursor < self._trace_len
                 and len(fetch_queue) < self._fq_depth):
             self.do_fetch()
-        # store drain
+        # Store drain.
         store_queue = self.store_queue
         if store_queue._queue and store_queue.drain_step(
                 self.hierarchy, cycle, self.committed_memory):

@@ -23,8 +23,7 @@ from __future__ import annotations
 from ..engine.base import CoreModel, FetchEntry, ISSUED, STALLED
 from ..functional.trace import DynInst, KIND_LOAD, KIND_STORE
 from ..isa.registers import ZERO_REG
-from ..memory.hierarchy import (L2, MEMORY, NO_MSHRS, PENDING, STREAM,
-                                MemResult)
+from ..memory.hierarchy import L2, MEMORY, PENDING, STREAM, MemResult
 from .runahead_cache import RunaheadCache
 
 NORMAL = "normal"
@@ -38,10 +37,9 @@ class RunaheadCore(CoreModel):
 
     def __init__(self, trace, config=None, hierarchy=None, predictor=None,
                  advance_on: str = "l2", runahead_cache_entries: int = 256,
-                 lane_params=None, lane=0, leap=None) -> None:
+                 leap=None) -> None:
         super().__init__(trace, config=config, hierarchy=hierarchy,
-                         predictor=predictor, lane_params=lane_params,
-                         lane=lane, leap=leap)
+                         predictor=predictor, leap=leap)
         if advance_on not in ("l2", "l2_d1", "all"):
             raise ValueError(f"unknown advance_on: {advance_on}")
         self.advance_on = advance_on
@@ -58,12 +56,6 @@ class RunaheadCore(CoreModel):
     # ==================================================================
     # mode control
     # ==================================================================
-    def begin_cycle(self) -> None:
-        # Flattened super() chain: this runs every stepped cycle.
-        self.returned_mshrs = self.hierarchy.retire_mshrs(self.cycle)
-        if self.mode == RUNAHEAD and self.cycle >= self._trigger_ready:
-            self._exit_runahead()
-
     def next_event_cycle(self) -> int | None:
         """Horizon: a runahead period ends when the trigger miss fills."""
         if self.mode == RUNAHEAD:
@@ -145,39 +137,13 @@ class RunaheadCore(CoreModel):
     # ==================================================================
     # issue
     # ==================================================================
-    def try_issue(self, entry: FetchEntry) -> str:
-        return self._mode_issue(entry)
-
-    def do_issue(self) -> None:
-        # Specialised copy of CoreModel.do_issue that invokes the
-        # mode-bound issue path directly (re-read per iteration: an
-        # issue can start or end a runahead period mid-cycle).
-        ports = self.ports
-        ports.int_free = ports.int_capacity
-        ports.mem_free = ports.mem_capacity
-        fetch_queue = self.fetch_queue
-        if not fetch_queue:
-            return
-        slots = self._width
-        cycle = self.cycle
-        while slots > 0 and fetch_queue:
-            entry = fetch_queue[0]
-            if entry.decode_ready > cycle:
-                break
-            if self._mode_issue(entry) is not ISSUED:
-                break
-            fetch_queue.popleft()
-            self._progress = True
-            slots -= 1
-
     def step_cycle(self) -> None:
-        # Merged copy of CoreModel.step_cycle (begin/issue/drain phases
-        # flattened into one frame; the phase methods above are kept in
-        # sync for direct driving).  This is the per-cycle hot path —
-        # the golden fixtures pin its equivalence.
+        # CoreModel.step_cycle plus the runahead exit on the trigger
+        # fill, issuing through the mode-bound path (re-read per
+        # iteration: an issue can start a runahead period mid-cycle).
         cycle = self.cycle + 1
         self.cycle = cycle
-        # begin_cycle (retire fast path inlined)
+        # Fill returns (MemoryHierarchy.retire_mshrs, inlined).
         hierarchy = self.hierarchy
         ifetch_mshrs = hierarchy.ifetch_mshrs
         if (ifetch_mshrs._next_ready is not None
@@ -185,12 +151,10 @@ class RunaheadCore(CoreModel):
             ifetch_mshrs.retire_complete(cycle)
         data_mshrs = hierarchy.mshrs
         if data_mshrs._next_ready is not None and cycle >= data_mshrs._next_ready:
-            self.returned_mshrs = data_mshrs.retire_complete(cycle)
-        else:
-            self.returned_mshrs = NO_MSHRS
+            data_mshrs.retire_complete(cycle)
         if self.mode == RUNAHEAD and cycle >= self._trigger_ready:
             self._exit_runahead()
-        # do_issue
+        # Issue.
         ports = self.ports
         ports.int_free = ports.int_capacity
         ports.mem_free = ports.mem_capacity
@@ -208,12 +172,12 @@ class RunaheadCore(CoreModel):
                 progress = True
                 slots -= 1
         self._progress = progress
-        # do_fetch (shared body; guard saves the call when idle)
+        # Fetch (the guard saves the call when the front end is idle).
         if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
                 and self.cursor < self._trace_len
                 and len(fetch_queue) < self._fq_depth):
             self.do_fetch()
-        # store drain
+        # Store drain.
         store_queue = self.store_queue
         if store_queue._queue and store_queue.drain_step(
                 self.hierarchy, cycle, self.committed_memory):

@@ -95,10 +95,9 @@ class ICFPCore(CoreModel):
 
     def __init__(self, trace, config=None, hierarchy=None, predictor=None,
                  features: ICFPFeatures | None = None,
-                 lane_params=None, lane=0, leap=None) -> None:
+                 leap=None) -> None:
         super().__init__(trace, config=config, hierarchy=hierarchy,
-                         predictor=predictor, lane_params=lane_params,
-                         lane=lane, leap=leap)
+                         predictor=predictor, leap=leap)
         self.features = features if features is not None else ICFPFeatures()
         f = self.features
         self._mt_rally = f.mt_rally
@@ -134,22 +133,21 @@ class ICFPCore(CoreModel):
         self._shadow_stores: dict[int, object] = {}
         self._rallied_since_fallback = False
         self._stale_check_needed = False
-        self._mode_at_cycle_start = NORMAL
 
     # ==================================================================
-    # per-cycle phases
+    # the cycle
     # ==================================================================
     def step_cycle(self) -> None:
-        # Merged copy of CoreModel.step_cycle (phases flattened into one
-        # frame; kept in sync with the phase methods below, which remain
-        # for direct driving — the golden fixtures pin equivalence).
-        # iCFP replaces the conventional store queue with the chained
-        # store buffer (drained in the end phase), so the base drain
-        # phase would only probe an always-empty queue and is omitted.
+        # CoreModel.step_cycle with iCFP's mode machinery: miss returns
+        # queue rally passes, the rally slot issues ahead of the tail,
+        # and the cycle ends with the gated store-buffer drain and the
+        # mode-exit checks.  The chained store buffer replaces the
+        # conventional store queue, so the base drain (which would only
+        # probe an always-empty queue) is omitted.
         cycle = self.cycle + 1
         self.cycle = cycle
         mode_at_start = self.mode
-        # begin_cycle (retire fast path inlined)
+        # Fill returns (MemoryHierarchy.retire_mshrs, inlined).
         hierarchy = self.hierarchy
         ifetch_mshrs = hierarchy.ifetch_mshrs
         if (ifetch_mshrs._next_ready is not None
@@ -160,7 +158,6 @@ class ICFPCore(CoreModel):
             returned = data_mshrs.retire_complete(cycle)
         else:
             returned = NO_MSHRS
-        self.returned_mshrs = returned
         if self.mode != NORMAL:
             if returned:
                 mask = self.poison_alloc.mask_of_returned(returned)
@@ -168,13 +165,18 @@ class ICFPCore(CoreModel):
                     self.pending_rally_mask |= mask
             if not self.rally_active:
                 if self._stale_check_needed:
+                    # Entries captured *while* a pass was in flight can
+                    # carry a bit whose miss returned during that very
+                    # pass; that bit will never "return" again.  Re-queue
+                    # any active bits with no in-flight fill behind them
+                    # so the next pass sweeps them up.
                     self._stale_check_needed = False
                     stale = self.slice.pending_poison() & ~self._in_flight_bits()
                     if stale:
                         self.pending_rally_mask |= stale
                 if self.pending_rally_mask and self.slice._active:
                     self._start_rally_pass()
-        # do_issue
+        # Issue: the rally slot first, then the tail.
         ports = self.ports
         ports.int_free = ports.int_capacity
         ports.mem_free = ports.mem_capacity
@@ -204,12 +206,12 @@ class ICFPCore(CoreModel):
                 progress = True
                 slots -= 1
         self._progress = progress
-        # do_fetch (shared body; guard saves the call when idle)
+        # Fetch (the guard saves the call when the front end is idle).
         if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
                 and self.cursor < self._trace_len
                 and len(fetch_queue) < self._fq_depth):
             self.do_fetch()
-        # end_cycle: gated store-buffer drain + mode-exit checks
+        # Gated store-buffer drain + mode-exit checks.
         checkpoint = self.checkpoint
         sb = self.sb
         if sb.ssn_complete + 1 < sb.ssn_tail and sb.drain_step(
@@ -232,85 +234,12 @@ class ICFPCore(CoreModel):
         if not self._progress:
             self._leap_to_horizon()
 
-    def begin_cycle(self) -> None:
-        # Flattened super() chain: this runs every stepped cycle.
-        self._mode_at_cycle_start = self.mode
-        returned = self.hierarchy.retire_mshrs(self.cycle)
-        self.returned_mshrs = returned
-        if self.mode == NORMAL:
-            return
-        if returned:
-            mask = self.poison_alloc.mask_of_returned(returned)
-            if mask:
-                self.pending_rally_mask |= mask
-        if not self.rally_active:
-            if self._stale_check_needed:
-                # Entries captured *while* a pass was in flight can carry
-                # a bit whose miss returned during that very pass; that
-                # bit will never "return" again.  Re-queue any active
-                # bits with no in-flight fill behind them so the next
-                # pass sweeps them up.
-                self._stale_check_needed = False
-                stale = self.slice.pending_poison() & ~self._in_flight_bits()
-                if stale:
-                    self.pending_rally_mask |= stale
-            if self.pending_rally_mask and self.slice.active_count():
-                self._start_rally_pass()
-
     def _in_flight_bits(self) -> int:
         mask = 0
         for mshr in self.hierarchy.mshrs.pending():
             if mshr.poison_bit is not None:
                 mask |= 1 << mshr.poison_bit
         return mask
-
-    def do_issue(self) -> None:
-        ports = self.ports
-        ports.int_free = ports.int_capacity
-        ports.mem_free = ports.mem_capacity
-        slots = self._width
-        if self.rally_active:
-            if self._rally_step():
-                # The rally slot did real work this cycle.
-                slots -= 1
-                self._progress = True
-            elif not self.rally_active:
-                # Pass ended (or squashed) this cycle — a state change
-                # the leap must not skip.
-                self._progress = True
-            if not self.features.mt_rally:
-                return  # tail blocked while a rally is in flight
-        fetch_queue = self.fetch_queue
-        if not fetch_queue:
-            return
-        cycle = self.cycle
-        while slots > 0 and fetch_queue:
-            entry = fetch_queue[0]
-            if entry.decode_ready > cycle:
-                break
-            # Read _mode_issue per iteration: an issue can flip the mode
-            # (e.g. a load entering advance) mid-cycle.
-            if self._mode_issue(entry) is not ISSUED:
-                break
-            fetch_queue.popleft()
-            self._progress = True
-            slots -= 1
-
-    def end_cycle(self) -> None:
-        checkpoint = self.checkpoint
-        gate = checkpoint.ssn if checkpoint is not None else None
-        if self.sb.drain_step(self.hierarchy, self.cycle,
-                              self.committed_memory, before_ssn=gate):
-            self._progress = True
-        mode = self.mode
-        if mode == SIMPLE_RA:
-            self._maybe_resume_advance()
-        elif mode == ADVANCE:
-            self._maybe_exit_advance()
-        if self.mode is not self._mode_at_cycle_start:
-            # Same rule as the merged step: a mode flip swaps the
-            # head's issue rules, so the leap must step the boundary.
-            self._progress = True
 
     def done(self) -> bool:
         return (
@@ -323,8 +252,8 @@ class ICFPCore(CoreModel):
 
     def next_event_cycle(self) -> int | None:
         """Horizon: rally waits, blocked rallies, the gated SB drain, and
-        the rally-start triggers that only a stepped ``begin_cycle`` can
-        act on (the pending rally mask and the stale-bit re-queue) —
+        the rally-start triggers that only a stepped cycle's fill-return
+        step can act on (the pending rally mask and the stale-bit re-queue) —
         without exporting those, a leap could glide over the very cycle
         that would have launched the next rally pass."""
         hints = []
@@ -333,7 +262,7 @@ class ICFPCore(CoreModel):
             if self._rally_wait_until > cycle:
                 hints.append(self._rally_wait_until)
         elif self.mode != NORMAL and self.slice._active:
-            # begin_cycle would start a rally pass on the next stepped
+            # step_cycle would start a rally pass on the next stepped
             # cycle if any bits are queued — either directly in
             # pending_rally_mask or re-queued by the deferred stale
             # check (read-only here: the flag is cleared on the stepped
@@ -382,13 +311,8 @@ class ICFPCore(CoreModel):
         return earliest
 
     # ==================================================================
-    # issue paths
+    # issue paths: normal mode
     # ==================================================================
-    def try_issue(self, entry: FetchEntry) -> str:
-        return self._mode_issue(entry)
-
-    # ------------------------------------------------------------------
-    # normal mode
     # ------------------------------------------------------------------
     def _try_issue_normal(self, entry: FetchEntry) -> str:
         dyn = entry.dyn

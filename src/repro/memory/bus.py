@@ -51,16 +51,6 @@ class Bus:
     def next_free(self) -> int:
         return self._next_free_any
 
-    def next_event_cycle(self, cycle: int) -> int | None:
-        """Event-horizon contract: the cycle the bus next goes idle, or
-        None when it already is at ``cycle``.  Fill completion times
-        already embed bus scheduling (MSHR ``ready_cycle``), so core
-        models need not consult this directly — it exists for symmetry
-        and diagnostics (e.g. utilisation probes that want the
-        drain-out time)."""
-        next_free = self._next_free_any
-        return next_free if next_free > cycle else None
-
     def utilisation(self, total_cycles: int) -> float:
         """Fraction of ``total_cycles`` the bus spent transferring data."""
         if total_cycles <= 0:

@@ -283,8 +283,9 @@ class MemoryHierarchy:
         """Free data MSHRs whose fills completed; returns them (miss-return
         events — the iCFP engine keys rally passes off this list).
 
-        Runs every stepped cycle, so the no-completion case short-circuits
-        on the MSHR files' cached horizons without entering them.
+        Each core model's ``step_cycle`` inlines this body, since it runs
+        every stepped cycle: the no-completion case short-circuits on the
+        MSHR files' cached horizons without entering them.
         """
         ifetch = self.ifetch_mshrs
         if ifetch._next_ready is not None and cycle >= ifetch._next_ready:

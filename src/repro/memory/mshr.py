@@ -39,8 +39,9 @@ class MSHRFile:
     """A bounded file of MSHRs indexed by line address.
 
     The file tracks its own *event horizon* — the earliest pending fill
-    time — incrementally, so the every-cycle retire sweep and the leap
-    engine's :meth:`next_event_cycle` probe are O(1) on the (dominant)
+    time, ``_next_ready`` — incrementally, so the every-cycle retire
+    sweep and the leap engine's horizon scan (through
+    :meth:`MemoryHierarchy.next_event_cycle`) are O(1) on the (dominant)
     cycles where nothing completes.  ``ready_cycle`` is immutable after
     allocation, which is what makes the cached minimum sound.
     """
@@ -103,16 +104,6 @@ class MSHRFile:
 
     def pending(self) -> list[MSHR]:
         return list(self._pending.values())
-
-    def next_event_cycle(self) -> int | None:
-        """Earliest pending fill time (the file's event horizon), or None.
-
-        O(1): the minimum is maintained incrementally by allocate/retire.
-        """
-        return self._next_ready
-
-    #: Backwards-compatible name from the pre-horizon engine.
-    next_ready_cycle = next_event_cycle
 
     def outstanding_demand(self, cycle: int) -> int:
         """Number of demand fills still in flight at ``cycle``."""

@@ -54,6 +54,23 @@ def test_figure5_subset(capsys):
     assert "gmean SPEC" in out
 
 
+def test_figure6_prints_one_row_per_latency(capsys):
+    out = run_cli(capsys, "figure6", "-w", "mcf_like", "-n", "800",
+                  "-j", "1")
+    rows = [line.split()[0] for line in out.splitlines()
+            if line.split() and line.split()[0].isdigit()]
+    assert rows == ["10", "20", "30", "40", "50"]
+
+
+def test_sweep_poison_bits_prints_one_row_per_width(capsys):
+    out = run_cli(capsys, "sweep", "poison-bits", "-w", "mcf_like",
+                  "-n", "800", "-j", "1")
+    rows = [line.split("=")[1].split(":")[0].strip()
+            for line in out.splitlines()
+            if line.strip().startswith("poison_bits=")]
+    assert rows == ["1", "2", "4", "8"]
+
+
 def test_phases_command_breaks_down_generated_workloads(capsys):
     out = run_cli(capsys, "phases", "-w", "gen:2:42", "-m", "icfp",
                   "-n", "600", "-j", "1")

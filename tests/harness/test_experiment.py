@@ -1,6 +1,9 @@
 """Tests for the experiment runner and aggregation helpers."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,20 @@ from repro.workloads import ALL_KERNELS, trace_by_name
 
 def test_models_list_matches_paper():
     assert MODELS == ("in-order", "runahead", "multipass", "sltp", "icfp")
+
+
+def test_import_path_does_not_load_numpy():
+    """The simulator is pure Python: importing the experiment runner
+    (and through it every model, the campaign engine and the store)
+    must not pull in numpy."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = ("import sys, repro.harness.experiment; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_geomean():
