@@ -79,16 +79,15 @@ FORMERLY_DIVERGENT = (
 FORMERLY_DIVERGENT_INSTRUCTIONS = 800
 
 
-def _formerly_divergent_jobs():
+def _formerly_divergent_jobs(model, kernel):
     from repro.harness.experiment import ExperimentConfig
 
-    # Each cell at the Table 1 L2 latency and at a DRAM-class one, so
+    # The cell at the Table 1 L2 latency and at a DRAM-class one, so
     # the miss-driven wake-ups fire under both short and long stalls.
     return [SimJob(model, kernel,
                    ExperimentConfig(
                        instructions=FORMERLY_DIVERGENT_INSTRUCTIONS,
                        l2_hit_latency=latency))
-            for model, kernel in FORMERLY_DIVERGENT
             for latency in (20, 300)]
 
 
@@ -108,11 +107,12 @@ def _timing_payloads(results):
 
 
 @pytest.mark.slow
-def test_formerly_divergent_cells(monkeypatch):
-    """The once-divergent cells must match the cycle-by-cycle reference
+@pytest.mark.parametrize("model,kernel", FORMERLY_DIVERGENT)
+def test_formerly_divergent_cells(model, kernel, monkeypatch):
+    """Each once-divergent cell must match the cycle-by-cycle reference
     engine on every timing-visible statistic — leaping is pure
     scheduling."""
-    jobs = _formerly_divergent_jobs()
+    jobs = _formerly_divergent_jobs(model, kernel)
     monkeypatch.delenv("REPRO_NO_LEAP", raising=False)
     leapt = run_jobs(jobs, workers=1, memo=False, store=False)
 

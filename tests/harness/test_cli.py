@@ -90,6 +90,12 @@ def test_run_command_prints_phase_breakdown(capsys):
     assert "p0:" in out and "p1:" in out
 
 
+def test_batch_option_is_rejected():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["figure5", "--batch", "2"])
+    assert excinfo.value.code == 2
+
+
 def test_unknown_kernel_rejected():
     with pytest.raises(SystemExit):
         main(["characterize", "-w", "quake_like"])

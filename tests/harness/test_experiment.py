@@ -1,5 +1,7 @@
 """Tests for the experiment runner and aggregation helpers."""
 
+import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -8,6 +10,7 @@ import sys
 import pytest
 
 from repro.engine.result import SimResult
+from repro.exec.store import result_to_payload
 from repro.harness import (
     MODELS,
     ExperimentConfig,
@@ -72,6 +75,40 @@ def test_make_core_every_model():
         assert core.name == model
     with pytest.raises(ValueError):
         make_core("tomasulo", trace, config)
+
+
+def test_batch_backend_is_gone():
+    """Every model runs through the scalar engine alone: there is no
+    batched backend, and no constructor takes per-lane parameters."""
+    assert importlib.util.find_spec("repro.engine.batch") is None
+    trace = trace_by_name("mesa_like", 300)
+    config = ExperimentConfig(instructions=300)
+    with pytest.raises(TypeError):
+        make_core("icfp", trace, config, lane_params=None)
+
+
+#: Latency extremes: a warm Table 1 machine with an L2 hit of 6 cycles,
+#: and a cold one with DRAM-class L2 latency and no stream buffers.
+FAST_CONFIG = ExperimentConfig(instructions=300, l2_hit_latency=6)
+SLOW_CONFIG = ExperimentConfig(instructions=300, l2_hit_latency=500,
+                               stream_buffers=0, warm=False)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_core_reads_timing_constants_from_its_own_config(model):
+    """Two cores on one trace with opposite configs stay independent:
+    the slow one takes longer, and building it first leaves the fast
+    one's result byte-identical to a fast core built on its own."""
+    trace = trace_by_name("gzip_like", 300)
+    alone = make_core(model, trace, FAST_CONFIG).run()
+    slow_core = make_core(model, trace, SLOW_CONFIG)
+    fast_core = make_core(model, trace, FAST_CONFIG)
+    slow = slow_core.run()
+    fast = fast_core.run()
+    assert slow.cycles > fast.cycles
+    assert fast.instructions == slow.instructions == 300
+    assert (json.dumps(result_to_payload(fast), sort_keys=True)
+            == json.dumps(result_to_payload(alone), sort_keys=True))
 
 
 def test_machine_config_l2_latency_applied():
