@@ -13,7 +13,7 @@ Configuration per Section 5.1: advances under all L2 misses and under
 
 from __future__ import annotations
 
-from ..engine.base import FetchEntry, ISSUED, STALLED
+from ..engine.base import ISSUED, STALLED
 from ..functional.trace import DynInst
 from .runahead import RUNAHEAD, RunaheadCore
 
@@ -34,74 +34,92 @@ class MultipassCore(RunaheadCore):
         self.result_reuses = 0
 
     # ------------------------------------------------------------------
-    def _head_wakeup(self, entry: FetchEntry) -> int:
+    def _head_wakeup(self, idx: int) -> int:
         """A reusable head waits for nothing but decode: the saved
         result breaks its data dependences (:meth:`_issue_reused` checks
         only port availability, which the leap never waits on)."""
-        if entry.dyn.index in self._results:
-            return entry.decode_ready
-        return super()._head_wakeup(entry)
+        if idx in self._results:
+            return self._decode_ready[idx]
+        return super()._head_wakeup(idx)
 
-    def step_cycle(self) -> None:
-        # RunaheadCore.step_cycle with the result-reuse check inlined
-        # ahead of the mode-bound issue path.
-        cycle = self.cycle + 1
-        self.cycle = cycle
-        # Fill returns (MemoryHierarchy.retire_mshrs, inlined).
+    def _cycles(self, steps: int) -> None:
+        # RunaheadCore._cycles with the result-reuse check inlined ahead
+        # of the mode-bound issue path.  ``_results`` is re-read per
+        # cycle: a runahead exit rebinds it.
         hierarchy = self.hierarchy
         ifetch_mshrs = hierarchy.ifetch_mshrs
-        if (ifetch_mshrs._next_ready is not None
-                and cycle >= ifetch_mshrs._next_ready):
-            ifetch_mshrs.retire_complete(cycle)
         data_mshrs = hierarchy.mshrs
-        if data_mshrs._next_ready is not None and cycle >= data_mshrs._next_ready:
-            data_mshrs.retire_complete(cycle)
-        if self.mode == RUNAHEAD and cycle >= self._trigger_ready:
-            self._exit_runahead()
-        # Issue (with result reuse).
         ports = self.ports
-        ports.int_free = ports.int_capacity
-        ports.mem_free = ports.mem_capacity
-        progress = False
-        fetch_queue = self.fetch_queue
-        if fetch_queue:
-            slots = self._width
+        int_capacity = ports.int_capacity
+        mem_capacity = ports.mem_capacity
+        width = self._width
+        insts = self._insts
+        decode_ready = self._decode_ready
+        fq_depth = self._fq_depth
+        trace_len = self._trace_len
+        max_cycles = self._max_cycles
+        issue_reused = self._issue_reused
+        do_fetch = self.do_fetch
+        store_queue = self.store_queue
+        committed_memory = self.committed_memory
+        leap_to_horizon = self._leap_to_horizon
+        done = self.done
+        while steps:
+            steps -= 1
+            cycle = self.cycle
+            if cycle > max_cycles:
+                raise self._diverged()
+            cycle += 1
+            self.cycle = cycle
+            # Fill returns (the body of MemoryHierarchy.retire_mshrs).
+            if (ifetch_mshrs._next_ready is not None
+                    and cycle >= ifetch_mshrs._next_ready):
+                ifetch_mshrs.retire_complete(cycle)
+            if (data_mshrs._next_ready is not None
+                    and cycle >= data_mshrs._next_ready):
+                data_mshrs.retire_complete(cycle)
+            if self.mode == RUNAHEAD and cycle >= self._trigger_ready:
+                self._exit_runahead()
+            # Issue (with result reuse).
+            ports.int_free = int_capacity
+            ports.mem_free = mem_capacity
+            progress = False
+            head = self.fq_head
+            cursor = self.cursor
             results = self._results
-            while slots > 0 and fetch_queue:
-                entry = fetch_queue[0]
-                if entry.decode_ready > cycle:
-                    break
-                if entry.dyn.index in results:
-                    status = self._issue_reused(entry)
+            slots = width
+            while slots > 0 and head < cursor and decode_ready[head] <= cycle:
+                if head in results:
+                    status = issue_reused(insts[head])
                 else:
-                    status = self._mode_issue(entry)
+                    status = self._mode_issue(insts[head])
                 if status is not ISSUED:
                     break
-                fetch_queue.popleft()
+                head += 1
                 progress = True
                 slots -= 1
-        self._progress = progress
-        # Fetch (the guard saves the call when the front end is idle).
-        if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
-                and self.cursor < self._trace_len
-                and len(fetch_queue) < self._fq_depth):
-            self.do_fetch()
-        # Store drain.
-        store_queue = self.store_queue
-        if store_queue._queue and store_queue.drain_step(
-                self.hierarchy, cycle, self.committed_memory):
-            self._progress = True
-        if not self._progress:
-            self._leap_to_horizon()
+            self.fq_head = head
+            # Fetch (the guard saves the call when the front end is idle).
+            if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
+                    and cursor < trace_len and cursor - head < fq_depth
+                    and do_fetch()):
+                progress = True
+            # Store drain.
+            if store_queue._queue and store_queue.drain_step(
+                    hierarchy, cycle, committed_memory):
+                progress = True
+            if not progress:
+                leap_to_horizon()
+            if self.cursor >= trace_len and done():
+                break
 
-    def _issue_reused(self, entry: FetchEntry) -> str:
+    def _issue_reused(self, dyn: DynInst) -> str:
         """Replay an instruction whose result a previous pass recorded.
 
         The saved result breaks the data dependence: no source wait, no
         cache access, single-cycle completion.  It still occupies an
         issue slot and port (Multipass re-processes everything).
         """
-        dyn = entry.dyn
         idx = dyn.index
         ports = self.ports
         if self._port_int[idx]:
@@ -126,7 +144,7 @@ class MultipassCore(RunaheadCore):
                 self._phase_advance(idx)
             if dyn.is_control:
                 self.predictor.update(dyn)
-                if not entry.predicted_ok:
+                if not self._predicted_ok[idx]:
                     self.fetch_blocked = False
                     self.fetch_resume_cycle = completion
                     self._last_fetch_line = -1
@@ -142,7 +160,7 @@ class MultipassCore(RunaheadCore):
             if dst is not None:
                 self.reg_ready[dst] = completion
             self._results.discard(idx)  # consumed architecturally
-            self.commit(dyn, entry, completion)
+            self.commit(dyn, completion)
         return ISSUED
 
     # ------------------------------------------------------------------

@@ -20,7 +20,7 @@ Configurations follow Section 5.1 / Figure 6:
 
 from __future__ import annotations
 
-from ..engine.base import CoreModel, FetchEntry, ISSUED, STALLED
+from ..engine.base import CoreModel, ISSUED, STALLED
 from ..functional.trace import DynInst, KIND_LOAD, KIND_STORE
 from ..isa.registers import ZERO_REG
 from ..memory.hierarchy import L2, MEMORY, PENDING, STREAM, MemResult
@@ -62,18 +62,18 @@ class RunaheadCore(CoreModel):
             return self._trigger_ready
         return None
 
-    def _head_wakeup(self, entry: FetchEntry) -> int:
+    def _head_wakeup(self, idx: int) -> int:
         """Match :meth:`_try_issue_runahead`'s stall rules while running
         ahead: shadow-poisoned sources never wait on the scoreboard (they
         poison-propagate instead) and there is no WAW/destination stall.
         The base rule would overestimate the wake-up — and an
         overestimated horizon lets the leap skip issueable cycles."""
         if self.mode != RUNAHEAD:
-            return super()._head_wakeup(entry)
-        earliest = entry.decode_ready
+            return super()._head_wakeup(idx)
+        earliest = self._decode_ready[idx]
         shadow = self._shadow_poison
         reg_ready = self.reg_ready
-        for src in entry.dyn.srcs:
+        for src in self._srcs[idx]:
             if src not in shadow and reg_ready[src] > earliest:
                 earliest = reg_ready[src]
         return earliest
@@ -84,7 +84,7 @@ class RunaheadCore(CoreModel):
         return (
             self.mode == NORMAL
             and self.cursor >= self._trace_len
-            and not self.fetch_queue
+            and self.fq_head == self.cursor
             and self.store_queue.empty
             and self.cycle >= self.last_completion
         )
@@ -124,8 +124,7 @@ class RunaheadCore(CoreModel):
         """The triggering miss returned: discard everything and replay."""
         self.mode = NORMAL
         self._mode_issue = self._try_issue_normal
-        self.cursor = self._ckpt_cursor
-        self.fetch_queue.clear()
+        self.cursor = self.fq_head = self._ckpt_cursor
         self.fetch_blocked = False
         self.fetch_resume_cycle = self.cycle + 1
         self._last_fetch_line = -1
@@ -137,56 +136,72 @@ class RunaheadCore(CoreModel):
     # ==================================================================
     # issue
     # ==================================================================
-    def step_cycle(self) -> None:
-        # CoreModel.step_cycle plus the runahead exit on the trigger
-        # fill, issuing through the mode-bound path (re-read per
-        # iteration: an issue can start a runahead period mid-cycle).
-        cycle = self.cycle + 1
-        self.cycle = cycle
-        # Fill returns (MemoryHierarchy.retire_mshrs, inlined).
+    def _cycles(self, steps: int) -> None:
+        # CoreModel._cycles plus the runahead exit on the trigger fill,
+        # issuing through the mode-bound path (re-read per attempt: an
+        # issue can start a runahead period mid-cycle).
         hierarchy = self.hierarchy
         ifetch_mshrs = hierarchy.ifetch_mshrs
-        if (ifetch_mshrs._next_ready is not None
-                and cycle >= ifetch_mshrs._next_ready):
-            ifetch_mshrs.retire_complete(cycle)
         data_mshrs = hierarchy.mshrs
-        if data_mshrs._next_ready is not None and cycle >= data_mshrs._next_ready:
-            data_mshrs.retire_complete(cycle)
-        if self.mode == RUNAHEAD and cycle >= self._trigger_ready:
-            self._exit_runahead()
-        # Issue.
         ports = self.ports
-        ports.int_free = ports.int_capacity
-        ports.mem_free = ports.mem_capacity
-        progress = False
-        fetch_queue = self.fetch_queue
-        if fetch_queue:
-            slots = self._width
-            while slots > 0 and fetch_queue:
-                entry = fetch_queue[0]
-                if entry.decode_ready > cycle:
+        int_capacity = ports.int_capacity
+        mem_capacity = ports.mem_capacity
+        width = self._width
+        insts = self._insts
+        decode_ready = self._decode_ready
+        fq_depth = self._fq_depth
+        trace_len = self._trace_len
+        max_cycles = self._max_cycles
+        do_fetch = self.do_fetch
+        store_queue = self.store_queue
+        committed_memory = self.committed_memory
+        leap_to_horizon = self._leap_to_horizon
+        done = self.done
+        while steps:
+            steps -= 1
+            cycle = self.cycle
+            if cycle > max_cycles:
+                raise self._diverged()
+            cycle += 1
+            self.cycle = cycle
+            # Fill returns (the body of MemoryHierarchy.retire_mshrs).
+            if (ifetch_mshrs._next_ready is not None
+                    and cycle >= ifetch_mshrs._next_ready):
+                ifetch_mshrs.retire_complete(cycle)
+            if (data_mshrs._next_ready is not None
+                    and cycle >= data_mshrs._next_ready):
+                data_mshrs.retire_complete(cycle)
+            if self.mode == RUNAHEAD and cycle >= self._trigger_ready:
+                self._exit_runahead()
+            # Issue.
+            ports.int_free = int_capacity
+            ports.mem_free = mem_capacity
+            progress = False
+            head = self.fq_head
+            cursor = self.cursor
+            slots = width
+            while slots > 0 and head < cursor and decode_ready[head] <= cycle:
+                if self._mode_issue(insts[head]) is not ISSUED:
                     break
-                if self._mode_issue(entry) is not ISSUED:
-                    break
-                fetch_queue.popleft()
+                head += 1
                 progress = True
                 slots -= 1
-        self._progress = progress
-        # Fetch (the guard saves the call when the front end is idle).
-        if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
-                and self.cursor < self._trace_len
-                and len(fetch_queue) < self._fq_depth):
-            self.do_fetch()
-        # Store drain.
-        store_queue = self.store_queue
-        if store_queue._queue and store_queue.drain_step(
-                self.hierarchy, cycle, self.committed_memory):
-            self._progress = True
-        if not self._progress:
-            self._leap_to_horizon()
+            self.fq_head = head
+            # Fetch (the guard saves the call when the front end is idle).
+            if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
+                    and cursor < trace_len and cursor - head < fq_depth
+                    and do_fetch()):
+                progress = True
+            # Store drain.
+            if store_queue._queue and store_queue.drain_step(
+                    hierarchy, cycle, committed_memory):
+                progress = True
+            if not progress:
+                leap_to_horizon()
+            if self.cursor >= trace_len and done():
+                break
 
-    def _try_issue_normal(self, entry: FetchEntry) -> str:
-        dyn = entry.dyn
+    def _try_issue_normal(self, dyn: DynInst) -> str:
         idx = dyn.index
         cycle = self.cycle
         ports = self.ports
@@ -255,14 +270,13 @@ class RunaheadCore(CoreModel):
             ports.int_free -= 1
         else:
             ports.mem_free -= 1
-        self.commit(dyn, entry, completion)
+        self.commit(dyn, completion)
         return ISSUED
 
     # ------------------------------------------------------------------
     # runahead mode
     # ------------------------------------------------------------------
-    def _try_issue_runahead(self, entry: FetchEntry) -> str:
-        dyn = entry.dyn
+    def _try_issue_runahead(self, dyn: DynInst) -> str:
         idx = dyn.index
         cycle = self.cycle
         shadow = self._shadow_poison
@@ -324,7 +338,7 @@ class RunaheadCore(CoreModel):
         self._runahead_writeback(dyn, poisoned, completion)
         if dyn.is_control:
             self.predictor.update(dyn)
-            if not entry.predicted_ok:
+            if not self._predicted_ok[idx]:
                 if poisoned:
                     # Wrong path with no way to recover until the period
                     # ends; fetch stays blocked.

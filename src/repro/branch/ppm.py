@@ -56,14 +56,17 @@ class PPMPredictor:
         self.mispredicts = 0
         #: Index/tag computation is a pure function of (pc, the longest
         #: history window); loops re-predict the same few branches under
-        #: recurring history patterns, so memoize it (bounded).
+        #: recurring history patterns, so memoize it (bounded).  The key
+        #: packs both into one int (``history << 40 | pc``; code PCs sit
+        #: far below 2**40).
         self._longest_mask = (1 << max(history_lengths)) - 1
         self._index_memo: dict = {}
 
     # ------------------------------------------------------------------
     def _indices(self, pc: int):
-        """(base_index, [(table, index, tag), ...]) for ``pc``."""
-        key = (pc, self.history & self._longest_mask)
+        """(base_index, ((table, index, tag), ...)) for ``pc``, the
+        tagged levels longest history first."""
+        key = (self.history & self._longest_mask) << 40 | pc
         memo = self._index_memo
         cached = memo.get(key)
         if cached is not None:
@@ -76,16 +79,17 @@ class PPMPredictor:
             index = ((pc >> 2) ^ _fold(hist, index_bits)) & self.tagged_mask
             tag = ((pc >> 9) ^ _fold(hist, self.tag_bits)) & ((1 << self.tag_bits) - 1)
             tagged.append((level, index, tag))
+        tagged.reverse()
         if len(memo) >= (1 << 16):
             memo.clear()
-        result = memo[key] = (base_index, tagged)
+        result = memo[key] = (base_index, tuple(tagged))
         return result
 
     def predict(self, pc: int) -> bool:
         """Predict the direction of the branch at ``pc``."""
         self.lookups += 1
         base_index, tagged = self._indices(pc)
-        for level, index, tag in reversed(tagged):  # longest history first
+        for level, index, tag in tagged:
             if self.valid_table[level][index] and self.tag_table[level][index] == tag:
                 return self.counter_table[level][index] >= 0
         return self.base[base_index] >= 2
@@ -94,21 +98,31 @@ class PPMPredictor:
         """Train on the resolved outcome and advance global history."""
         base_index, tagged = self._indices(pc)
         provider_level = None
-        for level, index, tag in reversed(tagged):
+        for level, index, tag in tagged:
             if self.valid_table[level][index] and self.tag_table[level][index] == tag:
                 provider_level = level
                 counters = self.counter_table[level]
-                predicted = counters[index] >= 0
-                counters[index] = _saturate(counters[index] + (1 if taken else -1), -2, 1)
+                counter = counters[index]
+                predicted = counter >= 0
+                if taken:
+                    if counter < 1:
+                        counters[index] = counter + 1
+                elif counter > -2:
+                    counters[index] = counter - 1
                 if predicted == taken:
                     useful = self.useful_table[level]
-                    useful[index] = min(useful[index] + 1, 3)
+                    if useful[index] < 3:
+                        useful[index] += 1
                 break
         else:
-            predicted = self.base[base_index] >= 2
-            self.base[base_index] = _saturate(
-                self.base[base_index] + (1 if taken else -1), 0, 3
-            )
+            base = self.base
+            counter = base[base_index]
+            predicted = counter >= 2
+            if taken:
+                if counter < 3:
+                    base[base_index] = counter + 1
+            elif counter > 0:
+                base[base_index] = counter - 1
 
         if predicted != taken:
             self.mispredicts += 1
@@ -116,9 +130,10 @@ class PPMPredictor:
         self.history = ((self.history << 1) | (1 if taken else 0)) & ((1 << 64) - 1)
 
     def _allocate(self, tagged, provider_level, taken: bool) -> None:
-        """On a mispredict, claim an entry in a longer-history table."""
+        """On a mispredict, claim an entry in a longer-history table,
+        walking the candidates shortest history first."""
         start = 0 if provider_level is None else provider_level + 1
-        for level, index, tag in tagged[start:]:
+        for level, index, tag in reversed(tagged[:len(tagged) - start]):
             useful = self.useful_table[level]
             if not self.valid_table[level][index] or useful[index] == 0:
                 self.tag_table[level][index] = tag
@@ -133,7 +148,3 @@ class PPMPredictor:
         if not self.lookups:
             return 1.0
         return 1.0 - self.mispredicts / self.lookups
-
-
-def _saturate(value: int, lo: int, hi: int) -> int:
-    return max(lo, min(hi, value))

@@ -36,27 +36,22 @@ class BranchPredictor:
         front end.
         """
         self.predictions += 1
-        op = dyn.op
-        if op is Opcode.JAL:
-            self.ras.push(dyn.pc + 4)
-            correct = True  # direct call: target known at decode
-        elif op is Opcode.JR:
-            predicted_target = self.ras.pop()
-            if predicted_target is None:
-                predicted_target = self.btb.predict(dyn.pc)
-            correct = predicted_target == dyn.target_pc
-        elif op is Opcode.J:
-            correct = True  # direct jump: target known at decode
-        elif dyn.is_branch:
-            taken_pred = self.ppm.predict(dyn.pc)
-            if taken_pred == dyn.taken:
-                correct = True
-            else:
-                correct = False
+        if dyn.is_branch:
             # Direct conditional branches carry their target in the
             # instruction, so direction is the only source of error.
+            correct = self.ppm.predict(dyn.pc) == dyn.taken
         else:
-            correct = True
+            op = dyn.op
+            if op is Opcode.JAL:
+                self.ras.push(dyn.pc + 4)
+                correct = True  # direct call: target known at decode
+            elif op is Opcode.JR:
+                predicted_target = self.ras.pop()
+                if predicted_target is None:
+                    predicted_target = self.btb.predict(dyn.pc)
+                correct = predicted_target == dyn.target_pc
+            else:
+                correct = True  # direct jump: target known at decode
         if not correct:
             self.mispredictions += 1
         return correct

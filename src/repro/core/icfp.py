@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine.base import CoreModel, FetchEntry, ISSUED, STALLED
+from ..engine.base import CoreModel, ISSUED, STALLED
 from ..functional.trace import DynInst, KIND_LOAD, KIND_STORE
 from ..isa.registers import NUM_REGS, ZERO_REG
 from ..memory.hierarchy import (L2, MEMORY, NO_MSHRS, PENDING, STREAM,
@@ -137,102 +137,125 @@ class ICFPCore(CoreModel):
     # ==================================================================
     # the cycle
     # ==================================================================
-    def step_cycle(self) -> None:
-        # CoreModel.step_cycle with iCFP's mode machinery: miss returns
+    def _cycles(self, steps: int) -> None:
+        # CoreModel._cycles with iCFP's mode machinery: miss returns
         # queue rally passes, the rally slot issues ahead of the tail,
         # and the cycle ends with the gated store-buffer drain and the
         # mode-exit checks.  The chained store buffer replaces the
         # conventional store queue, so the base drain (which would only
         # probe an always-empty queue) is omitted.
-        cycle = self.cycle + 1
-        self.cycle = cycle
-        mode_at_start = self.mode
-        # Fill returns (MemoryHierarchy.retire_mshrs, inlined).
         hierarchy = self.hierarchy
         ifetch_mshrs = hierarchy.ifetch_mshrs
-        if (ifetch_mshrs._next_ready is not None
-                and cycle >= ifetch_mshrs._next_ready):
-            ifetch_mshrs.retire_complete(cycle)
         data_mshrs = hierarchy.mshrs
-        if data_mshrs._next_ready is not None and cycle >= data_mshrs._next_ready:
-            returned = data_mshrs.retire_complete(cycle)
-        else:
-            returned = NO_MSHRS
-        if self.mode != NORMAL:
-            if returned:
-                mask = self.poison_alloc.mask_of_returned(returned)
-                if mask:
-                    self.pending_rally_mask |= mask
-            if not self.rally_active:
-                if self._stale_check_needed:
-                    # Entries captured *while* a pass was in flight can
-                    # carry a bit whose miss returned during that very
-                    # pass; that bit will never "return" again.  Re-queue
-                    # any active bits with no in-flight fill behind them
-                    # so the next pass sweeps them up.
-                    self._stale_check_needed = False
-                    stale = self.slice.pending_poison() & ~self._in_flight_bits()
-                    if stale:
-                        self.pending_rally_mask |= stale
-                if self.pending_rally_mask and self.slice._active:
-                    self._start_rally_pass()
-        # Issue: the rally slot first, then the tail.
         ports = self.ports
-        ports.int_free = ports.int_capacity
-        ports.mem_free = ports.mem_capacity
-        progress = False
-        slots = self._width
-        run_tail = True
-        if self.rally_active:
-            if self._rally_step():
-                slots -= 1
-                progress = True
-            elif not self.rally_active:
-                # The pass ended (or squashed) inside this step: slices
-                # reclaimed, tail unblocked, stale check armed — a real
-                # state change the leap must not glide over.
-                progress = True
-            if not self._mt_rally:
-                run_tail = False  # tail blocked while a rally is in flight
-        fetch_queue = self.fetch_queue
-        if run_tail and fetch_queue:
-            while slots > 0 and fetch_queue:
-                entry = fetch_queue[0]
-                if entry.decode_ready > cycle:
-                    break
-                if self._mode_issue(entry) is not ISSUED:
-                    break
-                fetch_queue.popleft()
-                progress = True
-                slots -= 1
-        self._progress = progress
-        # Fetch (the guard saves the call when the front end is idle).
-        if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
-                and self.cursor < self._trace_len
-                and len(fetch_queue) < self._fq_depth):
-            self.do_fetch()
-        # Gated store-buffer drain + mode-exit checks.
-        checkpoint = self.checkpoint
+        int_capacity = ports.int_capacity
+        mem_capacity = ports.mem_capacity
+        width = self._width
+        insts = self._insts
+        decode_ready = self._decode_ready
+        fq_depth = self._fq_depth
+        trace_len = self._trace_len
+        max_cycles = self._max_cycles
+        mt_rally = self._mt_rally
+        do_fetch = self.do_fetch
         sb = self.sb
-        if sb.ssn_complete + 1 < sb.ssn_tail and sb.drain_step(
-                self.hierarchy, cycle, self.committed_memory,
-                before_ssn=checkpoint.ssn if checkpoint is not None else None):
-            self._progress = True
-        mode = self.mode
-        if mode == SIMPLE_RA:
-            self._maybe_resume_advance()
-        elif mode == ADVANCE:
-            self._maybe_exit_advance()
-        if self.mode is not mode_at_start:
-            # A mode transition on an otherwise idle cycle (advance
-            # falling back to simple runahead on a full slice, the
-            # fallback resuming advance, advance exiting) swaps the
-            # head's issue rules mid-stall: the same head can issue
-            # next cycle under the new mode, so the leap must step
-            # through the boundary rather than scan past it.
-            self._progress = True
-        if not self._progress:
-            self._leap_to_horizon()
+        committed_memory = self.committed_memory
+        leap_to_horizon = self._leap_to_horizon
+        done = self.done
+        while steps:
+            steps -= 1
+            cycle = self.cycle
+            if cycle > max_cycles:
+                raise self._diverged()
+            cycle += 1
+            self.cycle = cycle
+            mode_at_start = self.mode
+            # Fill returns (the body of MemoryHierarchy.retire_mshrs).
+            if (ifetch_mshrs._next_ready is not None
+                    and cycle >= ifetch_mshrs._next_ready):
+                ifetch_mshrs.retire_complete(cycle)
+            if (data_mshrs._next_ready is not None
+                    and cycle >= data_mshrs._next_ready):
+                returned = data_mshrs.retire_complete(cycle)
+            else:
+                returned = NO_MSHRS
+            if mode_at_start != NORMAL:
+                if returned:
+                    mask = self.poison_alloc.mask_of_returned(returned)
+                    if mask:
+                        self.pending_rally_mask |= mask
+                if not self.rally_active:
+                    if self._stale_check_needed:
+                        # Entries captured *while* a pass was in flight
+                        # can carry a bit whose miss returned during that
+                        # very pass; that bit will never "return" again.
+                        # Re-queue any active bits with no in-flight fill
+                        # behind them so the next pass sweeps them up.
+                        self._stale_check_needed = False
+                        stale = (self.slice.pending_poison()
+                                 & ~self._in_flight_bits())
+                        if stale:
+                            self.pending_rally_mask |= stale
+                    if self.pending_rally_mask and self.slice._active:
+                        self._start_rally_pass()
+            # Issue: the rally slot first, then the tail.
+            ports.int_free = int_capacity
+            ports.mem_free = mem_capacity
+            progress = False
+            slots = width
+            run_tail = True
+            if self.rally_active:
+                if self._rally_step():
+                    slots -= 1
+                    progress = True
+                elif not self.rally_active:
+                    # The pass ended (or squashed) inside this step:
+                    # slices reclaimed, tail unblocked, stale check armed
+                    # — a real state change the leap must not glide over.
+                    progress = True
+                if not mt_rally:
+                    run_tail = False  # tail blocked while a rally is in flight
+            # Read after the rally step: a squash rewinds the queue.
+            head = self.fq_head
+            cursor = self.cursor
+            if run_tail:
+                while (slots > 0 and head < cursor
+                       and decode_ready[head] <= cycle):
+                    if self._mode_issue(insts[head]) is not ISSUED:
+                        break
+                    head += 1
+                    progress = True
+                    slots -= 1
+                self.fq_head = head
+            # Fetch (the guard saves the call when the front end is idle).
+            if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
+                    and cursor < trace_len and cursor - head < fq_depth
+                    and do_fetch()):
+                progress = True
+            # Gated store-buffer drain + mode-exit checks.
+            checkpoint = self.checkpoint
+            if sb.ssn_complete + 1 < sb.ssn_tail and sb.drain_step(
+                    hierarchy, cycle, committed_memory,
+                    before_ssn=checkpoint.ssn if checkpoint is not None
+                    else None):
+                progress = True
+            mode = self.mode
+            if mode == SIMPLE_RA:
+                self._maybe_resume_advance()
+            elif mode == ADVANCE:
+                self._maybe_exit_advance()
+            if self.mode is not mode_at_start:
+                # A mode transition on an otherwise idle cycle (advance
+                # falling back to simple runahead on a full slice, the
+                # fallback resuming advance, advance exiting) swaps the
+                # head's issue rules mid-stall: the same head can issue
+                # next cycle under the new mode, so the leap must step
+                # through the boundary rather than scan past it.
+                progress = True
+            if not progress:
+                leap_to_horizon()
+            if self.cursor >= trace_len and done():
+                break
 
     def _in_flight_bits(self) -> int:
         mask = 0
@@ -245,7 +268,7 @@ class ICFPCore(CoreModel):
         return (
             self.mode == NORMAL
             and self.cursor >= self._trace_len
-            and not self.fetch_queue
+            and self.fq_head == self.cursor
             and self.sb.empty
             and self.cycle >= self.last_completion
         )
@@ -262,7 +285,7 @@ class ICFPCore(CoreModel):
             if self._rally_wait_until > cycle:
                 hints.append(self._rally_wait_until)
         elif self.mode != NORMAL and self.slice._active:
-            # step_cycle would start a rally pass on the next stepped
+            # The run loop would start a rally pass on the next stepped
             # cycle if any bits are queued — either directly in
             # pending_rally_mask or re-queued by the deferred stale
             # check (read-only here: the flag is cleared on the stepped
@@ -279,7 +302,7 @@ class ICFPCore(CoreModel):
             hints.append(drain)
         return min(hints) if hints else None
 
-    def _head_wakeup(self, entry: FetchEntry) -> int:
+    def _head_wakeup(self, idx: int) -> int:
         """Mode-exact wake-up of the issue head (leap contract: never
         later than the cycle the issue path would accept the entry).
 
@@ -290,21 +313,22 @@ class ICFPCore(CoreModel):
           other source (including main-poisoned ones, which the issue
           path checks only after the scoreboard) waits; no WAW stall.
         """
-        earliest = entry.decode_ready
+        earliest = self._decode_ready[idx]
+        srcs = self._srcs[idx]
         reg_ready = self.reg_ready
         mode = self.mode
         if mode == SIMPLE_RA:
             shadow = self._shadow_poison
-            for src in entry.dyn.srcs:
+            for src in srcs:
                 if src not in shadow and reg_ready[src] > earliest:
                     earliest = reg_ready[src]
             return earliest
         poison = self.main_rf.poison
         normal = mode == NORMAL
-        for src in entry.dyn.srcs:
+        for src in srcs:
             if (normal or not poison[src]) and reg_ready[src] > earliest:
                 earliest = reg_ready[src]
-        dst = entry.dyn.dst
+        dst = self._dst[idx]
         if (normal and dst is not None and dst != ZERO_REG
                 and reg_ready[dst] > earliest):
             earliest = reg_ready[dst]
@@ -314,8 +338,7 @@ class ICFPCore(CoreModel):
     # issue paths: normal mode
     # ==================================================================
     # ------------------------------------------------------------------
-    def _try_issue_normal(self, entry: FetchEntry) -> str:
-        dyn = entry.dyn
+    def _try_issue_normal(self, dyn: DynInst) -> str:
         idx = dyn.index
         cycle = self.cycle
         reg_ready = self.reg_ready
@@ -348,19 +371,19 @@ class ICFPCore(CoreModel):
 
         kind = self._kind[idx]
         if kind == KIND_LOAD:
-            return self._normal_load(dyn, entry)
+            return self._normal_load(dyn)
         if kind == KIND_STORE:
             if self.sb.full:
                 self.stats.stalls.store_buffer_full += 1
                 return STALLED
             self.sb.allocate(dyn.addr, dyn.store_val, 0, -1)
-            self._finish_issue(dyn, entry, cycle + 1)
+            self._finish_issue(dyn, cycle + 1)
             return ISSUED
         completion = cycle + self._exec_done[idx]
-        self._finish_issue(dyn, entry, completion)
+        self._finish_issue(dyn, completion)
         return ISSUED
 
-    def _normal_load(self, dyn: DynInst, entry: FetchEntry) -> str:
+    def _normal_load(self, dyn: DynInst) -> str:
         fwd = self.sb.forward(dyn.addr)
         if fwd is not None:
             if type(fwd) is IndexedStall:
@@ -369,13 +392,13 @@ class ICFPCore(CoreModel):
             self.stats.store_forward_hits += 1
             self.stats.store_forward_hops += fwd.excess_hops
             self._check_forward(fwd, dyn)
-            self._finish_issue(dyn, entry, self.cycle + self._l1d_hit_latency
+            self._finish_issue(dyn, self.cycle + self._l1d_hit_latency
                                + fwd.excess_hops)
             return ISSUED
         ready = self.hierarchy.data_hit_cycle(dyn.addr, self.cycle)
         if ready is not None:
             # L1 hit: record_miss is a no-op and never advance-qualifying.
-            self._finish_issue(dyn, entry, ready)
+            self._finish_issue(dyn, ready)
             return ISSUED
         result = self.hierarchy.data_access(dyn.addr, self.cycle)
         if result.stalled:
@@ -384,19 +407,19 @@ class ICFPCore(CoreModel):
         self.record_miss(result, dyn.index)
         if self._qualifies_for_advance(result):
             # The defining transition: checkpoint and keep flowing.
-            self._enter_advance()
+            self._enter_advance(dyn.index)
             self.ports.mem_free -= 1
-            return self._advance_missing_load(dyn, entry, result)
-        self._finish_issue(dyn, entry, result.ready_cycle)
+            return self._advance_missing_load(dyn, result)
+        self._finish_issue(dyn, result.ready_cycle)
         return ISSUED
 
-    def _finish_issue(self, dyn: DynInst, entry: FetchEntry, completion: int) -> None:
+    def _finish_issue(self, dyn: DynInst, completion: int) -> None:
         """Common issue epilogue for normal-mode instructions."""
         if self._port_int[dyn.index]:
             self.ports.int_free -= 1
         else:
             self.ports.mem_free -= 1
-        self.commit(dyn, entry, completion)
+        self.commit(dyn, completion)
         if dyn.dst is not None:
             if self.mode == NORMAL:
                 self.main_rf.write_normal(dyn.dst, dyn.result)
@@ -407,8 +430,7 @@ class ICFPCore(CoreModel):
     # ------------------------------------------------------------------
     # advance mode
     # ------------------------------------------------------------------
-    def _try_issue_advance(self, entry: FetchEntry) -> str:
-        dyn = entry.dyn
+    def _try_issue_advance(self, dyn: DynInst) -> str:
         idx = dyn.index
         poison_of = self.main_rf.poison
         reg_ready = self.reg_ready
@@ -444,11 +466,11 @@ class ICFPCore(CoreModel):
 
         kind = self._kind[idx]
         if kind == KIND_STORE:
-            return self._advance_store(dyn, entry, src_poison)
+            return self._advance_store(dyn, src_poison)
 
         if src_poison:
             # Miss-dependent: divert to the slice buffer.
-            return self._capture_slice(dyn, entry, src_poison)
+            return self._capture_slice(dyn, src_poison)
 
         # Miss-independent: execute and commit.
         ports = self.ports
@@ -461,16 +483,16 @@ class ICFPCore(CoreModel):
             self.stats.stalls.port += 1
             return STALLED
         if kind == KIND_LOAD:
-            return self._advance_load(dyn, entry)
+            return self._advance_load(dyn)
         completion = cycle + self._exec_done[idx]
         if port_int:
             ports.int_free -= 1
         else:
             ports.mem_free -= 1
-        self._commit_advance(dyn, entry, completion)
+        self._commit_advance(dyn, completion)
         return ISSUED
 
-    def _advance_load(self, dyn: DynInst, entry: FetchEntry) -> str:
+    def _advance_load(self, dyn: DynInst) -> str:
         fwd = self.sb.forward(dyn.addr)
         if fwd is not None:
             if type(fwd) is IndexedStall:
@@ -480,10 +502,10 @@ class ICFPCore(CoreModel):
             self.stats.store_forward_hops += fwd.excess_hops
             if fwd.poison:
                 # Forwarding from a miss-dependent store poisons the load.
-                return self._capture_slice(dyn, entry, fwd.poison)
+                return self._capture_slice(dyn, fwd.poison)
             self._check_forward(fwd, dyn)
             self.ports.mem_free -= 1
-            self._commit_advance(dyn, entry, self.cycle + self._l1d_hit_latency
+            self._commit_advance(dyn, self.cycle + self._l1d_hit_latency
                                  + fwd.excess_hops)
             return ISSUED
         ready = self.hierarchy.data_hit_cycle(dyn.addr, self.cycle)
@@ -491,7 +513,7 @@ class ICFPCore(CoreModel):
             # L1 hit: cache-sourced, never advance-qualifying.
             self.signature.insert(dyn.addr)
             self.ports.mem_free -= 1
-            self._commit_advance(dyn, entry, ready)
+            self._commit_advance(dyn, ready)
             return ISSUED
         result = self.hierarchy.data_access(dyn.addr, self.cycle)
         if result.stalled:
@@ -500,21 +522,19 @@ class ICFPCore(CoreModel):
         self.record_miss(result, dyn.index)
         if self._qualifies_for_advance(result):
             self.ports.mem_free -= 1
-            return self._advance_missing_load(dyn, entry, result)
+            return self._advance_missing_load(dyn, result)
         # Cache-sourced value: vulnerable to external stores.
         self.signature.insert(dyn.addr)
         self.ports.mem_free -= 1
-        self._commit_advance(dyn, entry, result.ready_cycle)
+        self._commit_advance(dyn, result.ready_cycle)
         return ISSUED
 
-    def _advance_missing_load(self, dyn: DynInst, entry: FetchEntry,
-                              result: MemResult) -> str:
+    def _advance_missing_load(self, dyn: DynInst, result: MemResult) -> str:
         """A load whose miss we advance past: poison and slice it."""
         mask = self.poison_alloc.bit_for(result.mshr)
-        return self._capture_slice(dyn, entry, mask, self_poison=True)
+        return self._capture_slice(dyn, mask, self_poison=True)
 
-    def _advance_store(self, dyn: DynInst, entry: FetchEntry,
-                       src_poison: int) -> str:
+    def _advance_store(self, dyn: DynInst, src_poison: int) -> str:
         addr_src, data_src = dyn.srcs[0], dyn.srcs[1]
         addr_poison = self.main_rf.poison[addr_src]
         data_poison = self.main_rf.poison[data_src]
@@ -533,7 +553,7 @@ class ICFPCore(CoreModel):
                 return STALLED
             self.sb.allocate(dyn.addr, dyn.store_val, 0, self.next_seq)
             self.ports.mem_free -= 1
-            self._commit_advance(dyn, entry, self.cycle + 1)
+            self._commit_advance(dyn, self.cycle + 1)
             return ISSUED
         # Data-poisoned store: hold a store-buffer slot (so younger loads
         # see the poison) and re-execute via the slice buffer.
@@ -541,9 +561,9 @@ class ICFPCore(CoreModel):
             self._enter_simple_ra(dyn.index, "slice_buffer_full")
             return STALLED
         ssn = self.sb.allocate(dyn.addr, None, data_poison, self.next_seq)
-        return self._capture_slice(dyn, entry, data_poison, ssn=ssn)
+        return self._capture_slice(dyn, data_poison, ssn=ssn)
 
-    def _capture_slice(self, dyn: DynInst, entry: FetchEntry, poison: int,
+    def _capture_slice(self, dyn: DynInst, poison: int,
                        self_poison: bool = False, ssn: int | None = None) -> str:
         """Divert a miss-dependent instruction into the slice buffer."""
         if self.slice.full:
@@ -560,7 +580,7 @@ class ICFPCore(CoreModel):
                 captured[src] = self.main_rf.values[src]
         slice_entry = SliceEntry(dyn, seq, captured, poison,
                                  ssn_limit=self.sb.ssn_tail,
-                                 predicted_ok=entry.predicted_ok,
+                                 predicted_ok=self._predicted_ok[dyn.index],
                                  producer_seq=producer_seq, ssn=ssn)
         self.slice.append(slice_entry)
         self.slice_by_seq[seq] = slice_entry
@@ -577,10 +597,9 @@ class ICFPCore(CoreModel):
         # mispredicted one leaves fetch blocked until its rally squashes.
         return ISSUED
 
-    def _commit_advance(self, dyn: DynInst, entry: FetchEntry,
-                        completion: int) -> None:
+    def _commit_advance(self, dyn: DynInst, completion: int) -> None:
         seq = self._take_seq()
-        self.commit(dyn, entry, completion)
+        self.commit(dyn, completion)
         self.stats.advance_instructions += 1
         if self._phase_of is not None:
             self._phase_advance(dyn.index)
@@ -803,10 +822,12 @@ class ICFPCore(CoreModel):
             return result.ready_cycle - self.cycle > threshold
         return False
 
-    def _enter_advance(self) -> None:
+    def _enter_advance(self, load_index: int) -> None:
+        """Checkpoint at the triggering load (the queue head, trace index
+        ``load_index``) and start advance execution."""
         self.main_rf.checkpoint()
         self.checkpoint = _Checkpoint(
-            cursor=0,  # patched below by the triggering load's entry
+            cursor=load_index,
             ssn=self.sb.ssn_tail,
             cycle=self.cycle,
             committed=(self.stats.instructions, self.stats.loads,
@@ -816,9 +837,6 @@ class ICFPCore(CoreModel):
                 for p in self._phase_stats
             ),
         )
-        # The triggering load is at the head of the fetch queue.
-        if self.fetch_queue:
-            self.checkpoint.cursor = self.fetch_queue[0].dyn.index
         self.mode = ADVANCE
         self._mode_issue = self._try_issue_advance
         self.next_seq = 0
@@ -874,8 +892,7 @@ class ICFPCore(CoreModel):
         self.mode = ADVANCE
         self._mode_issue = self._try_issue_advance
         self.fallback_reason = None
-        self.cursor = self.simple_ra_start
-        self.fetch_queue.clear()
+        self.cursor = self.fq_head = self.simple_ra_start
         self.fetch_blocked = False
         self.fetch_resume_cycle = self.cycle + 1
         self._last_fetch_line = -1
@@ -890,8 +907,7 @@ class ICFPCore(CoreModel):
         self.slice.flush()
         self.slice_by_seq.clear()
         self.sb.squash_to(ckpt.ssn)
-        self.cursor = ckpt.cursor
-        self.fetch_queue.clear()
+        self.cursor = self.fq_head = ckpt.cursor
         self.fetch_blocked = False
         self.fetch_resume_cycle = self.cycle + 1
         self._last_fetch_line = -1
@@ -924,8 +940,7 @@ class ICFPCore(CoreModel):
     # ------------------------------------------------------------------
     # simple runahead (fallback) mode
     # ------------------------------------------------------------------
-    def _try_issue_simple_ra(self, entry: FetchEntry) -> str:
-        dyn = entry.dyn
+    def _try_issue_simple_ra(self, dyn: DynInst) -> str:
         idx = dyn.index
         cycle = self.cycle
         shadow = self._shadow_poison
@@ -1007,7 +1022,7 @@ class ICFPCore(CoreModel):
                 reg_ready[dst] = completion
         if dyn.is_control:
             self.predictor.update(dyn)
-            if not entry.predicted_ok and not poisoned:
+            if not self._predicted_ok[idx] and not poisoned:
                 self.fetch_blocked = False
                 self.fetch_resume_cycle = completion
                 self._last_fetch_line = -1

@@ -258,9 +258,6 @@ class ChainedStoreBuffer:
             return cycle + 1
         return drain_ready
 
-    #: Backwards-compatible name from the pre-horizon engine.
-    next_drain_event = next_event_cycle
-
     # ------------------------------------------------------------------
     # squash
     # ------------------------------------------------------------------

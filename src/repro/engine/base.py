@@ -2,13 +2,21 @@
 
 :class:`CoreModel` is both the vanilla in-order baseline *and* the
 substrate the latency-tolerant models (Runahead, Multipass, SLTP, iCFP)
-subclass.  Each model describes a cycle exactly once, in its
-:meth:`~CoreModel.step_cycle`: retire completed fills (plus the model's
-mode transitions), issue up to ``width`` instructions in order, refill
-the fetch queue through the I$ and predictor (the shared
+subclass.  Each model describes a cycle exactly once, as the body of
+its ``_cycles`` run loop: retire completed fills (plus the model's mode
+transitions), issue up to ``width`` instructions in order, refill the
+fetch queue through the I$ and predictor (the shared
 :meth:`~CoreModel.do_fetch`), drain stores, and leap when the cycle
-made no progress.  The body is one flat frame per model because it is
-the simulator's hot loop.
+made no progress.  The loop is one flat frame per model because it is
+the simulator's hot loop; :meth:`~CoreModel.run` drives it to
+completion and :meth:`~CoreModel.step_cycle` is exactly one iteration
+of it, so tests that step a core observe the same path.
+
+The fetch queue is not a container but the trace range ``[fq_head,
+cursor)``: fetch appends at ``cursor``, issue pops at ``fq_head``, and a
+front-end flush (runahead exit, iCFP squash, fallback resume) rewinds
+both to the restart point.  Each fetched instruction's latch state
+(decode-ready cycle, prediction outcome) lives in trace-indexed lists.
 
 The model is execute-driven over a pre-materialised dynamic trace:
 instructions know their operands, addresses, and branch outcomes, so
@@ -34,7 +42,7 @@ to the minimum of those horizons instead of idling through the stall
 region one cycle at a time.  The leap fires only after a no-progress
 cycle, so per-cycle observables (issue order, stall attribution,
 fetch timestamps) are bit-identical to a cycle-by-cycle simulation.
-The reference for that claim is the same ``step_cycle`` with the leap
+The reference for that claim is the same ``_cycles`` loop with the leap
 turned off (``leap=False`` / ``REPRO_NO_LEAP=1``) — see
 ``tests/engine/test_idle_skip.py``, ``tests/engine/test_leap_audit.py``
 and the golden fixtures in ``tests/engine/test_golden_regression.py``.
@@ -48,7 +56,6 @@ built once per trace and shared by every model that replays it.
 from __future__ import annotations
 
 import os
-from collections import deque
 
 from ..branch.predictor import BranchPredictor
 from ..functional.trace import DynInst, KIND_LOAD, KIND_STORE, Trace
@@ -64,17 +71,6 @@ from .result import SimResult
 #: try_issue outcomes.
 ISSUED = "issued"
 STALLED = "stalled"
-
-
-class FetchEntry:
-    """A fetched instruction waiting in the front-end latches."""
-
-    __slots__ = ("dyn", "decode_ready", "predicted_ok")
-
-    def __init__(self, dyn: DynInst, decode_ready: int, predicted_ok: bool) -> None:
-        self.dyn = dyn
-        self.decode_ready = decode_ready
-        self.predicted_ok = predicted_ok
 
 
 class SimulationDiverged(RuntimeError):
@@ -106,8 +102,11 @@ class CoreModel:
 
         self.cycle = 0
         self.reg_ready = [0] * NUM_REGS
-        self.fetch_queue: deque[FetchEntry] = deque()
+        # The fetch queue is the trace range [fq_head, cursor).
+        self.fq_head = 0
         self.cursor = 0
+        self._decode_ready = [0] * len(trace.insts)
+        self._predicted_ok = [True] * len(trace.insts)
         self.fetch_blocked = False
         self.fetch_resume_cycle = 0
         self._ifetch_ready = 0
@@ -116,7 +115,6 @@ class CoreModel:
         self.store_queue = StoreQueue(cfg.store_buffer_entries)
         self.committed_memory: dict[int, object] = {}
         self.last_completion = 0
-        self._progress = False
 
         # Reference mode: ``leap=False`` (or ``REPRO_NO_LEAP=1`` in the
         # environment) disables the event-horizon leap entirely, making
@@ -142,6 +140,9 @@ class CoreModel:
         self._dst = hot.dst
         self._exec_done = hot.exec_done
         self._port_int = hot.port_int
+        self._pc = hot.pc
+        self._is_control = hot.is_control
+        self._taken = hot.taken
         self._width = cfg.width
         self._fq_depth = cfg.fetch_queue_depth
         self._frontend_depth = cfg.frontend_depth
@@ -292,20 +293,11 @@ class CoreModel:
     # ==================================================================
     def run(self) -> SimResult:
         """Simulate to completion and return the result."""
-        max_cycles = self._max_cycles
-        step_cycle = self.step_cycle
-        done = self.done
-        trace_len = self._trace_len
         # `cursor >= len(trace)` is a necessary condition of every
         # model's done() — pre-filtering it keeps the completion check
         # out of the per-cycle loop until the run is actually draining.
-        while not (self.cursor >= trace_len and done()):
-            if self.cycle > max_cycles:
-                raise SimulationDiverged(
-                    f"{self.name}: exceeded {max_cycles} cycles "
-                    f"({self.stats.instructions}/{trace_len} committed)"
-                )
-            step_cycle()
+        if not (self.cursor >= self._trace_len and self.done()):
+            self._cycles(-1)
         self.stats.cycles = max(self.cycle, self.last_completion)
         self.stats.branch_mispredicts = self.predictor.mispredictions
         if self._obs_probe is not None:
@@ -339,60 +331,88 @@ class CoreModel:
                 1000.0 * self.stats.instructions / self.stats.cycles)
 
     def step_cycle(self) -> None:
-        """Advance the simulation by one cycle (tests drive this directly
-        to observe or perturb mid-flight state).
+        """Advance the simulation by one cycle: one iteration of the
+        model's run loop (tests drive this directly to observe or
+        perturb mid-flight state)."""
+        self._cycles(1)
+
+    def _diverged(self) -> SimulationDiverged:
+        return SimulationDiverged(
+            f"{self.name}: exceeded {self._max_cycles} cycles "
+            f"({self.stats.instructions}/{self._trace_len} committed)")
+
+    def _cycles(self, steps: int) -> None:
+        """Run up to ``steps`` cycles (``-1``: no limit), stopping once
+        :meth:`done` holds.
 
         The vanilla in-order cycle: retire completed fills, issue in
         order until the head stalls, fetch, drain one store, and leap
         past the stall region when nothing progressed.
         """
-        cycle = self.cycle + 1
-        self.cycle = cycle
-        # Fill returns (MemoryHierarchy.retire_mshrs, inlined).
         hierarchy = self.hierarchy
         ifetch_mshrs = hierarchy.ifetch_mshrs
-        if (ifetch_mshrs._next_ready is not None
-                and cycle >= ifetch_mshrs._next_ready):
-            ifetch_mshrs.retire_complete(cycle)
         data_mshrs = hierarchy.mshrs
-        if data_mshrs._next_ready is not None and cycle >= data_mshrs._next_ready:
-            data_mshrs.retire_complete(cycle)
-        # Issue.
         ports = self.ports
-        ports.int_free = ports.int_capacity
-        ports.mem_free = ports.mem_capacity
-        progress = False
-        fetch_queue = self.fetch_queue
-        if fetch_queue:
-            slots = self._width
-            try_issue = self.try_issue
-            while slots > 0 and fetch_queue:
-                entry = fetch_queue[0]
-                if entry.decode_ready > cycle:
+        int_capacity = ports.int_capacity
+        mem_capacity = ports.mem_capacity
+        width = self._width
+        insts = self._insts
+        decode_ready = self._decode_ready
+        fq_depth = self._fq_depth
+        trace_len = self._trace_len
+        max_cycles = self._max_cycles
+        try_issue = self.try_issue
+        do_fetch = self.do_fetch
+        store_queue = self.store_queue
+        committed_memory = self.committed_memory
+        leap_to_horizon = self._leap_to_horizon
+        done = self.done
+        while steps:
+            steps -= 1
+            cycle = self.cycle
+            if cycle > max_cycles:
+                raise self._diverged()
+            cycle += 1
+            self.cycle = cycle
+            # Fill returns (the body of MemoryHierarchy.retire_mshrs).
+            if (ifetch_mshrs._next_ready is not None
+                    and cycle >= ifetch_mshrs._next_ready):
+                ifetch_mshrs.retire_complete(cycle)
+            if (data_mshrs._next_ready is not None
+                    and cycle >= data_mshrs._next_ready):
+                data_mshrs.retire_complete(cycle)
+            # Issue.
+            ports.int_free = int_capacity
+            ports.mem_free = mem_capacity
+            progress = False
+            head = self.fq_head
+            cursor = self.cursor
+            slots = width
+            while slots > 0 and head < cursor and decode_ready[head] <= cycle:
+                if try_issue(insts[head]) is not ISSUED:
                     break
-                if try_issue(entry) is not ISSUED:
-                    break
-                fetch_queue.popleft()
+                head += 1
                 progress = True
                 slots -= 1
-        self._progress = progress
-        # Fetch (the guard saves the call when the front end is idle).
-        if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
-                and self.cursor < self._trace_len
-                and len(fetch_queue) < self._fq_depth):
-            self.do_fetch()
-        # Store drain.
-        store_queue = self.store_queue
-        if store_queue._queue and store_queue.drain_step(
-                self.hierarchy, cycle, self.committed_memory):
-            self._progress = True
-        if not self._progress:
-            self._leap_to_horizon()
+            self.fq_head = head
+            # Fetch (the guard saves the call when the front end is idle).
+            if (not self.fetch_blocked and cycle >= self.fetch_resume_cycle
+                    and cursor < trace_len and cursor - head < fq_depth
+                    and do_fetch()):
+                progress = True
+            # Store drain.
+            if store_queue._queue and store_queue.drain_step(
+                    hierarchy, cycle, committed_memory):
+                progress = True
+            if not progress:
+                leap_to_horizon()
+            if self.cursor >= trace_len and done():
+                break
 
     def done(self) -> bool:
         return (
             self.cursor >= self._trace_len
-            and not self.fetch_queue
+            and self.fq_head == self.cursor
             and self.store_queue.empty
             and self.cycle >= self.last_completion
         )
@@ -400,80 +420,67 @@ class CoreModel:
     # ==================================================================
     # fetch
     # ==================================================================
-    def do_fetch(self) -> None:
-        """Fetch up to ``width`` instructions through the I$."""
+    def do_fetch(self) -> bool:
+        """Fetch up to ``width`` instructions through the I$; True when
+        anything was fetched.  The caller has already checked that the
+        front end is eligible: not branch-blocked, past the resume
+        latch, with trace left and queue room."""
         cycle = self.cycle
-        if self.fetch_blocked or cycle < self.fetch_resume_cycle:
-            return
-        cursor = self.cursor
-        trace_len = self._trace_len
-        if cursor >= trace_len:
-            return
-        fetch_queue = self.fetch_queue
-        room = self._fq_depth - len(fetch_queue)
-        if room <= 0:
-            return
-        width = self._width
-        limit = width if width < room else room
-        insts = self._insts
+        start = cursor = self.cursor
+        end = self.fq_head + self._fq_depth  # queue room
+        if end > cursor + self._width:
+            end = cursor + self._width
+        if end > self._trace_len:
+            end = self._trace_len
         iline = self._iline
-        frontend_depth = self._frontend_depth
+        decode_ready = self._decode_ready
+        # Pipelined front end: decode+reg-read after the (possibly
+        # stale-line) I$ data returns, never less than the full
+        # fetch-to-issue depth from this cycle.
+        min_ready = cycle + self._frontend_depth
         last_line = self._last_fetch_line
         ifetch_ready = self._ifetch_ready
-        predictor_predict = self.predictor.predict
-        append = fetch_queue.append
-        new_entry = FetchEntry.__new__
-        fetched = 0
-        while fetched < limit and cursor < trace_len:
-            dyn = insts[cursor]
+        while cursor < end:
             line = iline[cursor]
             if line != last_line:
-                result = self.hierarchy.fetch_access(dyn.pc, cycle)
-                if result.stalled:
-                    break
+                pc = self._pc[cursor]
+                ready = self.hierarchy.fetch_hit_cycle(pc, cycle)
+                if ready is None:
+                    result = self.hierarchy.fetch_access(pc, cycle)
+                    if result.stalled:
+                        break
+                    ready = result.ready_cycle
                 last_line = line
-                ifetch_ready = result.ready_cycle
-            # Pipelined front end: decode+reg-read after the (possibly
-            # stale-line) I$ data returns, never less than the full
-            # fetch-to-issue depth from this cycle.
-            decode_ready = cycle + frontend_depth
-            data_ready = ifetch_ready + 2
-            if data_ready > decode_ready:
-                decode_ready = data_ready
-            is_control = dyn.is_control
-            predicted_ok = True
-            if is_control:
-                predicted_ok = predictor_predict(dyn)
-            # Frame-free construction: this allocation runs once per
-            # fetched instruction across every model and replay.
-            entry = new_entry(FetchEntry)
-            entry.dyn = dyn
-            entry.decode_ready = decode_ready
-            entry.predicted_ok = predicted_ok
-            append(entry)
-            cursor += 1
-            fetched += 1
-            if is_control and not predicted_ok:
-                # Wrong path from here: hold fetch until the branch resolves.
-                self.fetch_blocked = True
-                break
-            if dyn.taken:
-                # Correctly predicted taken: one-cycle redirect bubble.
-                self.fetch_resume_cycle = cycle + 1
-                last_line = -1
-                break
-        if fetched:
-            self._progress = True
+                ifetch_ready = ready
+            ready = ifetch_ready + 2
+            decode_ready[cursor] = ready if ready > min_ready else min_ready
+            if self._is_control[cursor]:
+                predicted_ok = self.predictor.predict(self._insts[cursor])
+                self._predicted_ok[cursor] = predicted_ok
+                taken = self._taken[cursor]  # only control can be taken
+                cursor += 1
+                if not predicted_ok:
+                    # Wrong path from here: hold fetch until the branch
+                    # resolves.
+                    self.fetch_blocked = True
+                    break
+                if taken:
+                    # Correctly predicted taken: one-cycle redirect bubble.
+                    self.fetch_resume_cycle = cycle + 1
+                    last_line = -1
+                    break
+            else:
+                cursor += 1
         self.cursor = cursor
         self._last_fetch_line = last_line
         self._ifetch_ready = ifetch_ready
+        return cursor != start
 
     # ==================================================================
     # issue + execute
     # ==================================================================
-    def try_issue(self, entry: FetchEntry) -> str:
+    def try_issue(self, dyn: DynInst) -> str:
         """Attempt to issue the head instruction this cycle."""
-        dyn = entry.dyn
         idx = dyn.index
         cycle = self.cycle
         ports = self.ports
@@ -519,7 +526,7 @@ class CoreModel:
             ports.int_free -= 1
         else:
             ports.mem_free -= 1
-        self.commit(dyn, entry, completion)
+        self.commit(dyn, completion)
         return ISSUED
 
     def execute_load(self, dyn: DynInst) -> int | None:
@@ -546,7 +553,7 @@ class CoreModel:
         self.store_queue.push(dyn.addr, dyn.store_val, self.cycle)
         return self.cycle + 1
 
-    def commit(self, dyn: DynInst, entry: FetchEntry, completion: int) -> None:
+    def commit(self, dyn: DynInst, completion: int) -> None:
         """Book-keeping for a successfully issued instruction."""
         dst = dyn.dst
         if dst is not None:
@@ -562,13 +569,13 @@ class CoreModel:
         if self._phase_of is not None:
             self._phase_commit(dyn)
         if dyn.is_control:
-            self.resolve_control(dyn, entry, completion)
+            self.resolve_control(dyn, completion)
         if completion > self.last_completion:
             self.last_completion = completion
 
-    def resolve_control(self, dyn: DynInst, entry: FetchEntry, completion: int) -> None:
+    def resolve_control(self, dyn: DynInst, completion: int) -> None:
         self.predictor.update(dyn)
-        if not entry.predicted_ok:
+        if not self._predicted_ok[dyn.index]:
             # Redirect the front end at resolve; refill penalty follows
             # from the decode_ready computed at the new fetch time.
             self.fetch_blocked = False
@@ -676,9 +683,10 @@ class CoreModel:
         # every idle cycle, so no candidate list is materialised.
         best = 0
         source = None
-        fetch_queue = self.fetch_queue
-        if fetch_queue:
-            c = self._head_wakeup(fetch_queue[0])
+        head = self.fq_head
+        cursor = self.cursor
+        if head < cursor:
+            c = self._head_wakeup(head)
             if c > cycle:
                 best = c
                 source = "head"
@@ -691,8 +699,8 @@ class CoreModel:
         # and can hit immediately.  When the latch is in the past, a
         # fetch that failed this cycle was I$-MSHR-stalled (side-effect
         # free), and its retry rides the hierarchy's fill horizon below.
-        if (self.cursor < self._trace_len and not self.fetch_blocked
-                and len(fetch_queue) < self._fq_depth):
+        if (cursor < self._trace_len and not self.fetch_blocked
+                and cursor - head < self._fq_depth):
             c = self.fetch_resume_cycle
             if c > cycle and (not best or c < best):
                 best = c
@@ -734,27 +742,28 @@ class CoreModel:
                 probe["leaps"] += 1
                 probe["leapt"] += best - 1 - cycle
                 probe["sources"][source] = probe["sources"].get(source, 0) + 1
-            self.cycle = best - 1  # step_cycle increments first
+            self.cycle = best - 1  # the run loop increments first
 
     def next_event_cycle(self) -> int | None:
         """Subclass horizon hook: earliest future cycle the subclass's
         own machinery (mode timers, rally waits, gated drains) can act."""
         return None
 
-    def _head_wakeup(self, entry: FetchEntry) -> int:
-        """Earliest cycle the queue head could issue (for the leap).
+    def _head_wakeup(self, idx: int) -> int:
+        """Earliest cycle the queue head (trace index ``idx``) could
+        issue (for the leap).
 
         The base model stalls on source *and* destination (WAW)
         readiness; latency-tolerant subclasses override this to match
         their own stall rules.
         """
-        earliest = entry.decode_ready
+        earliest = self._decode_ready[idx]
         reg_ready = self.reg_ready
-        for src in entry.dyn.srcs:
+        for src in self._srcs[idx]:
             ready = reg_ready[src]
             if ready > earliest:
                 earliest = ready
-        dst = entry.dyn.dst
+        dst = self._dst[idx]
         if dst is not None and dst != ZERO_REG:
             ready = reg_ready[dst]
             if ready > earliest:

@@ -234,6 +234,25 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # instruction side
     # ------------------------------------------------------------------
+    def fetch_hit_cycle(self, pc: int, cycle: int) -> int | None:
+        """Instruction-side twin of :meth:`data_hit_cycle`: the L1I-hit
+        ready cycle, or None → take the full :meth:`fetch_access` walk.
+
+        On a hit it counts and promotes exactly like fetch_access; on a
+        live pending I-fill or an L1I tag miss it touches nothing.  The
+        line is computed here, from the PC, because the caller's own
+        line bookkeeping may use a different L1I geometry.
+        """
+        line = pc // self._l1i_line_bytes
+        ifetch_mshrs = self.ifetch_mshrs
+        if ifetch_mshrs._pending:
+            pending = ifetch_mshrs._pending.get(line)
+            if pending is not None and pending.ready_cycle > cycle:
+                return None
+        if not self.l1i.lookup_if_present(line):
+            return None
+        return cycle + self._l1i_lat
+
     def fetch_access(self, pc: int, cycle: int) -> MemResult:
         """Access the instruction side (L1I backed by the unified L2)."""
         line = pc // self._l1i_line_bytes
@@ -280,12 +299,14 @@ class MemoryHierarchy:
     # maintenance
     # ------------------------------------------------------------------
     def retire_mshrs(self, cycle: int) -> list[MSHR]:
-        """Free data MSHRs whose fills completed; returns them (miss-return
-        events — the iCFP engine keys rally passes off this list).
+        """Free instruction and data MSHRs whose fills completed; returns
+        the data ones (miss-return events — the iCFP engine keys rally
+        passes off this list).
 
-        Each core model's ``step_cycle`` inlines this body, since it runs
-        every stepped cycle: the no-completion case short-circuits on the
-        MSHR files' cached horizons without entering them.
+        Each core model's ``_cycles`` run loop inlines this body, since
+        it runs every stepped cycle: the no-completion case
+        short-circuits on the MSHR files' cached horizons without
+        entering them.
         """
         ifetch = self.ifetch_mshrs
         if ifetch._next_ready is not None and cycle >= ifetch._next_ready:

@@ -124,6 +124,3 @@ class StoreQueue:
         if drain_ready is None or drain_ready <= cycle:
             return cycle + 1
         return drain_ready
-
-    #: Backwards-compatible name from the pre-horizon engine.
-    next_event = next_event_cycle

@@ -117,7 +117,7 @@ def test_drain_blocked_by_poisoned_head():
     sb = make()
     sb.allocate(0x40, None, 0b1, seq=0)
     assert not sb.drain_step(None, 0, {})
-    assert sb.next_drain_event(0) is None  # woken by rally, not time
+    assert sb.next_event_cycle(0) is None  # woken by rally, not time
 
 
 def test_squash_rebuilds_chain_table():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.baselines.inorder import InOrderCore
+from repro.baselines import InOrderCore, MultipassCore, RunaheadCore, SLTPCore
+from repro.core.icfp import ICFPCore
 from repro.engine import SimulationDiverged
 from repro.functional import run_program
 from repro.isa import Assembler, R, assemble_text
@@ -212,13 +213,40 @@ def test_branch_mispredict_costs_cycles():
     assert noisy.stats.branch_mispredicts > 20
 
 
-def test_simulation_diverged_guard():
+#: Every machine model, each with its own run loop (SLTP shares iCFP's).
+ALL_MODELS = (InOrderCore, RunaheadCore, MultipassCore, SLTPCore, ICFPCore)
+
+
+@pytest.mark.parametrize("cls", ALL_MODELS, ids=lambda cls: cls.name)
+def test_simulation_diverged_guard(cls):
     import dataclasses
 
     cfg = dataclasses.replace(quick_config(), max_cycles=10)
     trace = run_program(assemble_text("\n".join(["nop"] * 100 + ["halt"])))
     with pytest.raises(SimulationDiverged):
-        InOrderCore(trace, config=cfg).run()
+        cls(trace, config=cfg).run()
+
+
+@pytest.mark.parametrize("leap", (True, False), ids=("leap", "stepped"))
+@pytest.mark.parametrize("cls", ALL_MODELS, ids=lambda cls: cls.name)
+def test_step_cycle_and_run_are_one_path(cls, leap):
+    """Driving step_cycle() to completion reproduces run() exactly: the
+    two share one loop, so every stat must match byte for byte."""
+    import json
+
+    from repro.exec.store import result_to_payload
+    from repro.workloads import trace_by_name
+
+    trace = trace_by_name("mcf_like", 800)
+    stepped = cls(trace, config=quick_config(), leap=leap)
+    while not stepped.done():
+        stepped.step_cycle()
+    fresh = cls(trace, config=quick_config(), leap=leap)
+
+    def payload(core):
+        return json.dumps(result_to_payload(core.run()), sort_keys=True)
+
+    assert payload(stepped) == payload(fresh)
 
 
 def test_stall_breakdown_accumulates():

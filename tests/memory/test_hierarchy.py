@@ -206,3 +206,57 @@ def test_outstanding_demand_misses():
     h.data_access(0x8000, cycle=0)
     assert h.outstanding_demand_misses(0) == 2
     assert h.outstanding_demand_misses(10_000) == 0
+
+
+def _ifetch_state(h):
+    mshrs = h.ifetch_mshrs
+    return (h.l1i.hits, h.l1i.misses, mshrs.merges, dict(mshrs._pending))
+
+
+def _two_resident_lines():
+    """A hierarchy whose L1I set 0 holds two lines, 0x1000's LRU."""
+    h = tiny_hierarchy()
+    t = 0
+    for pc in (0x1000, 0x1100):  # 4 sets of 64B lines: both map to set 0
+        r = h.fetch_access(pc, cycle=t)
+        t = r.ready_cycle + 1
+        h.retire_mshrs(t)
+    return h, t
+
+
+def test_fetch_hit_cycle_matches_fetch_access_on_a_hit():
+    fast, t = _two_resident_lines()
+    full, _ = _two_resident_lines()
+    ready = fast.fetch_hit_cycle(0x1004, t)
+    result = full.fetch_access(0x1004, t)
+    assert result.level == L1
+    assert ready == result.ready_cycle == t + 3
+    assert fast.l1i.hits == full.l1i.hits
+    assert fast.l1i.misses == full.l1i.misses
+    set0 = fast.l1i.config.set_index(0x1000 // 64)
+    assert fast.l1i._sets[set0] == full.l1i._sets[set0]
+    assert fast.l1i._sets[set0][0][0] == 0x1000 // 64  # promoted to MRU
+
+
+def test_fetch_hit_cycle_tag_miss_touches_nothing():
+    h = tiny_hierarchy()
+    before = _ifetch_state(h)
+    assert h.fetch_hit_cycle(0x1000, 0) is None
+    assert _ifetch_state(h) == before
+    r = h.fetch_access(0x1000, 0)
+    assert r.level == MEMORY
+    assert h.l1i.misses == before[1] + 1  # the miss is counted once
+    assert h.l1i.hits == before[0]
+
+
+def test_fetch_hit_cycle_pending_fill_touches_nothing():
+    h = tiny_hierarchy()
+    first = h.fetch_access(0x1000, 0)  # tag installed, fill in flight
+    before = _ifetch_state(h)
+    assert h.fetch_hit_cycle(0x1008, 1) is None
+    assert _ifetch_state(h) == before
+    r = h.fetch_access(0x1008, 1)
+    assert r.level == PENDING
+    assert r.ready_cycle == first.ready_cycle
+    assert h.ifetch_mshrs.merges == before[2] + 1  # merged exactly once
+    assert (h.l1i.hits, h.l1i.misses) == before[:2]

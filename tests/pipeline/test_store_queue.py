@@ -64,8 +64,8 @@ def test_flush_discards_everything():
 def test_next_event_reports_drain_time():
     q = StoreQueue(4)
     h = hierarchy()
-    assert q.next_event(0) is None
+    assert q.next_event_cycle(0) is None
     q.push(0x100, 1, 0)
-    assert q.next_event(0) == 1  # not yet launched: try next cycle
+    assert q.next_event_cycle(0) == 1  # not yet launched: try next cycle
     q.drain_step(h, 0, {})
-    assert q.next_event(0) == q.head().drain_ready
+    assert q.next_event_cycle(0) == q.head().drain_ready
