@@ -14,10 +14,14 @@ Each fresh fingerprint resolves through three tiers:
    load before the pool; each computed result is flushed *the moment it
    completes*, so a crashed campaign resumes from its last finished
    cell, not from zero,
-3. compute (the pool, or in-process at ``jobs=1``).
+3. compute (the process pool, or in-process at ``jobs=1``).
 
-Fault tolerance (the reliability substrate for the distributed fabric):
-jobs are submitted as individual futures, not a ``pool.map`` batch, so
+Both ways of computing share one attempt loop: every finished attempt
+is classified by :meth:`_Campaign.settle`, and every retryable failure
+goes through the one retry decision, :meth:`_Campaign.retry` (attempt
+budget, :class:`RetryExhaustedError`, ``report.retries``, backoff).
+Jobs are submitted to the pool as individual futures, not a
+``pool.map`` batch, so
 
 * a per-job wall-clock timeout (:class:`RetryPolicy.job_timeout`,
   ``REPRO_JOB_TIMEOUT``) reaps slow cells and retries them;
@@ -34,10 +38,12 @@ jobs are submitted as individual futures, not a ``pool.map`` batch, so
   :class:`~repro.exec.report.CampaignReport` — robustness is
   observable, never silent.
 
-Failures that survive retries are *annotated* with the failing job's
-fingerprint and workload, and ``disk.flush_counters()`` plus every
-already-completed result's store flush happen regardless (try/finally),
-so one bad cell never discards its siblings' work.
+A job whose trace cannot be built fails as kind ``"trace"`` before any
+attempt, at every worker count.  Failures that survive retries are
+*annotated* with the failing job's fingerprint and workload, and
+``disk.flush_counters()`` plus every already-completed result's store
+flush happen regardless (try/finally), so one bad cell never discards
+its siblings' work.
 
 Deterministic fault injection lives in :mod:`repro.exec.faults`
 (``REPRO_FAULTS`` / :func:`~repro.exec.faults.injected_faults`).
@@ -69,7 +75,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from ..obs import trace as obs_trace
-from .cache import RESULT_CACHE
+from .cache import RESULT_CACHE, TRACE_CACHE
 from .faults import InjectedFault, active_injector, mark_worker_process
 from .report import CampaignReport, JobFailure
 
@@ -85,23 +91,6 @@ def default_jobs() -> int:
                 f"REPRO_JOBS must be an integer, got {env!r}"
             ) from None
     return os.cpu_count() or 1
-
-
-def fabric_workers() -> int:
-    """``REPRO_FABRIC_WORKERS``: lease-fabric worker count (0 = off).
-
-    The CLI's ``--fabric N`` sets it; pool and fabric worker processes
-    pin it to 0 so execution never nests a fabric inside a worker.
-    """
-    env = os.environ.get("REPRO_FABRIC_WORKERS")
-    if not env:
-        return 0
-    try:
-        return max(0, int(env))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_FABRIC_WORKERS must be an integer, got {env!r}"
-        ) from None
 
 
 class RetryExhaustedError(RuntimeError):
@@ -167,10 +156,8 @@ def _backoff(policy: RetryPolicy, attempt: int) -> float:
 
 
 def _worker_init() -> None:
-    """Pool workers run their own jobs sequentially (no nested pools,
-    and never a nested fabric)."""
+    """Pool workers run their own jobs sequentially (no nested pools)."""
     os.environ["REPRO_JOBS"] = "1"
-    os.environ["REPRO_FABRIC_WORKERS"] = "0"
     mark_worker_process()
     # Fork children inherit the parent's tracer; spans they emit land
     # in their own per-pid log (the tracer reopens on pid change).
@@ -191,16 +178,11 @@ def _pool(workers: int) -> ProcessPoolExecutor:
                                initializer=_worker_init)
 
 
-def _run_job(job):
-    """Module-level trampoline so the pool can pickle it."""
-    return job.run()
-
-
-def _invoke(fn, arg, key: str, attempt: int, delay: float):
+def _attempt(job, key: str, attempt: int, delay: float):
     """One execution attempt, on whichever process runs it.
 
-    ``delay`` implements retry backoff *inside* the worker, so the
-    parent's scheduling loop never blocks on it.  The active fault
+    ``delay`` is the retry backoff, slept *inside* the attempt so the
+    pool's scheduling loop never blocks on it.  The active fault
     injector (env / override, inherited through fork) gets first shot.
     """
     if delay > 0:
@@ -210,24 +192,30 @@ def _invoke(fn, arg, key: str, attempt: int, delay: float):
         injector.on_job_attempt(key, attempt)
     tracer = obs_trace.TRACER
     if tracer is None:
-        return fn(arg)
+        return job.run()
     with tracer.span("attempt", fp=key[:16], attempt=attempt):
-        return fn(arg)
+        return job.run()
 
 
 class _Task:
-    """One schedulable unit: a SimJob or a map item."""
+    """One schedulable SimJob and its attempt counters."""
 
-    __slots__ = ("index", "fn", "arg", "key", "label", "attempts", "seq")
+    __slots__ = ("index", "job", "key", "label", "attempts", "seq")
 
-    def __init__(self, index: int, fn, arg, key: str, label: str) -> None:
+    def __init__(self, index: int, job) -> None:
         self.index = index
-        self.fn = fn
-        self.arg = arg
-        self.key = key        # fault-roll / fingerprint identity
-        self.label = label    # human identity for error messages
+        self.job = job
+        self.key = job.fingerprint   # fault-roll / fingerprint identity
+        workload = getattr(job.workload, "name", job.workload)
+        self.label = f"{job.model} on {workload}"  # for error messages
         self.attempts = 0     # executions started in the current regime
         self.seq = 0          # executions started ever (fault re-roll index)
+
+    def start(self, report: CampaignReport) -> None:
+        """Count one execution attempt about to begin."""
+        self.attempts += 1
+        self.seq += 1
+        report.attempts += 1
 
 
 def _annotate(exc: BaseException, task: _Task) -> BaseException:
@@ -242,246 +230,203 @@ def _annotate(exc: BaseException, task: _Task) -> BaseException:
     return exc
 
 
-def _fail(task: _Task, exc: BaseException, kind: str,
-          failures: dict[int, BaseException],
-          report: CampaignReport) -> None:
-    failures[task.index] = _annotate(exc, task)
-    report.failures.append(JobFailure(
-        label=task.label, fingerprint=task.key, kind=kind, error=str(exc)))
+class _Campaign:
+    """One ``run_jobs`` call's scheduler: the attempt loop and its two
+    executors (in-process and the process pool)."""
 
+    def __init__(self, policy: RetryPolicy, report: CampaignReport,
+                 record) -> None:
+        self.policy = policy
+        self.report = report
+        self.record = record       # record(task, result): a settled cell
+        self.failures: dict[int, BaseException] = {}
+        self._trace_errors: dict = {}
 
-def _retry_or_fail(task: _Task, exc: BaseException, policy: RetryPolicy,
-                   failures: dict[int, BaseException],
-                   report: CampaignReport, resubmit) -> None:
-    """Retryable failure: resubmit within budget, else record exhaustion."""
-    if task.attempts >= policy.max_attempts:
-        _fail(task, RetryExhaustedError(task.label, task.key,
-                                        task.attempts, exc),
-              "retries-exhausted", failures, report)
-    else:
-        report.retries += 1
-        resubmit(task)
+    def fail(self, task: _Task, exc: BaseException, kind: str) -> None:
+        self.failures[task.index] = _annotate(exc, task)
+        self.report.failures.append(JobFailure(
+            label=task.label, fingerprint=task.key, kind=kind,
+            error=str(exc)))
 
-
-def _run_tasks_sequential(tasks, policy: RetryPolicy,
-                          report: CampaignReport, record,
-                          failures: dict[int, BaseException],
-                          fresh_budget: bool = False) -> None:
-    """In-process execution with bounded retries (the jobs=1 path, and
-    the graceful-degradation target when pools keep dying)."""
-    for task in tasks:
-        if fresh_budget:
-            task.attempts = 0
-        with obs_trace.span("job", fp=task.key[:16], label=task.label):
-            _run_one_sequential(task, policy, report, record, failures)
-
-
-def _run_one_sequential(task, policy: RetryPolicy, report: CampaignReport,
-                        record, failures: dict[int, BaseException]) -> None:
-    """One task's bounded in-process retry loop (the ``job`` span body)."""
-    while True:
-        task.attempts += 1
-        task.seq += 1
-        report.attempts += 1
-        try:
-            result = _invoke(task.fn, task.arg, task.key, task.seq, 0.0)
-        except InjectedFault as exc:
-            if task.attempts >= policy.max_attempts:
-                _fail(task, RetryExhaustedError(task.label, task.key,
-                                                task.attempts, exc),
-                      "retries-exhausted", failures, report)
-                return
-            report.retries += 1
-            time.sleep(_backoff(policy, task.attempts))
-        except (KeyboardInterrupt, SystemExit):
-            # An interrupted cell is not a failed cell: let the
-            # interrupt surface (completed cells are already
-            # flushed) so a rerun resumes it instead of reporting
-            # a phantom job failure.
-            raise
-        except BaseException as exc:
-            _fail(task, exc, "exception", failures, report)
-            return
-        else:
-            record(task, result)
-            return
-
-
-def _run_tasks_pooled(tasks, workers: int, policy: RetryPolicy,
-                      report: CampaignReport, record,
-                      failures: dict[int, BaseException]) -> None:
-    """Per-job future submission with timeouts, retries, resurrection.
-
-    Completed futures keep their results across a pool death; after
-    ``policy.max_pool_breaks`` deaths the remaining work degrades to
-    sequential in-process execution (fresh retry budget — a pool
-    casualty is evidence about the pool, not the job).
-    """
-    queue: deque[_Task] = deque(tasks)
-    breaks = 0
-    while queue:
-        if breaks >= policy.max_pool_breaks:
-            report.degradations += 1
-            _run_tasks_sequential(list(queue), policy, report, record,
-                                  failures, fresh_budget=True)
-            return
-        queue, broke = _one_pool_round(queue, workers, policy, report,
-                                       record, failures)
-        if broke:
-            breaks += 1
-            time.sleep(_backoff(policy, breaks))
-
-
-def _one_pool_round(queue: deque, workers: int, policy: RetryPolicy,
-                    report: CampaignReport, record,
-                    failures: dict[int, BaseException]):
-    """One pool lifetime; returns (requeue, broke).
-
-    Runs until the queue drains or the pool must be torn down: a worker
-    death (``BrokenProcessPool`` fails every pending future at once) or
-    a per-job timeout (a running future cannot be cancelled, so the
-    whole pool is abandoned; ``shutdown(wait=False)`` leaves the
-    stragglers to finish dying on their own).
-    """
-    requeue: deque[_Task] = deque()
-    pool = _pool(min(workers, len(queue)))
-    pending: dict = {}
-    broke = False
-
-    def submit(task: _Task, delay: float = 0.0) -> None:
-        nonlocal broke
-        task.attempts += 1
-        task.seq += 1
-        report.attempts += 1
-        deadline = (time.monotonic() + policy.job_timeout
-                    if policy.job_timeout else None)
-        try:
-            future = pool.submit(_invoke, task.fn, task.arg, task.key,
-                                 task.seq, delay)
-        except BrokenProcessPool:
-            # The pool died between completions; the task is innocent.
-            if not broke:
-                broke = True
-                report.pool_breaks += 1
-            requeue.append(task)
-            return
-        pending[future] = (task, deadline)
-
-    def resubmit(task: _Task) -> None:
-        if broke:
-            requeue.append(task)
-        else:
-            submit(task, delay=_backoff(policy, task.attempts))
-
-    try:
-        for task in queue:
-            submit(task)
-        while pending and not broke:
-            timeout = None
-            if policy.job_timeout:
-                deadlines = [d for (_t, d) in pending.values()
-                             if d is not None]
-                if deadlines:
-                    timeout = max(0.0, min(deadlines) - time.monotonic())
-            done, _ = wait(list(pending), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
-            for future in done:
-                task, _deadline = pending.pop(future)
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    # The casualty and every sibling retry on a fresh
-                    # pool; completed futures in `done` keep their
-                    # results below.  Counted once per pool lifetime.
-                    if not broke:
-                        broke = True
-                        report.pool_breaks += 1
-                    requeue.append(task)
-                except InjectedFault as exc:
-                    _retry_or_fail(task, exc, policy, failures, report,
-                                   resubmit)
-                except CancelledError:  # pragma: no cover - defensive
-                    requeue.append(task)
-                except (KeyboardInterrupt, SystemExit):
-                    raise  # interrupted, not failed — surface it
-                except BaseException as exc:
-                    _fail(task, exc, "exception", failures, report)
-                else:
-                    record(task, result)
-            if policy.job_timeout and not broke:
-                now = time.monotonic()
-                overdue = [f for f, (_t, d) in pending.items()
-                           if d is not None and d <= now]
-                if overdue:
-                    broke = True  # cannot cancel running futures
-                    for future in overdue:
-                        task, _deadline = pending.pop(future)
-                        report.timeouts += 1
-                        _retry_or_fail(task, TimeoutError(
-                            f"attempt exceeded {policy.job_timeout}s"),
-                            policy, failures, report, resubmit)
-        # Drain whatever the teardown left behind: futures that did
-        # finish keep their results; the rest go back on the queue
-        # (innocent casualties — no attempt penalty, but `seq` still
-        # advances on resubmission, so injected faults re-roll).
-        for future, (task, _deadline) in list(pending.items()):
-            if future.done() and not future.cancelled():
-                try:
-                    record(task, future.result())
-                    continue
-                except InjectedFault as exc:
-                    _retry_or_fail(task, exc, policy, failures, report,
-                                   lambda t: requeue.append(t))
-                    continue
-                except BrokenProcessPool:
-                    pass
-                except (KeyboardInterrupt, SystemExit):
-                    raise  # interrupted, not failed — surface it
-                except BaseException as exc:
-                    _fail(task, exc, "exception", failures, report)
-                    continue
-            requeue.append(task)
-    finally:
-        pool.shutdown(wait=not broke, cancel_futures=True)
-    return requeue, broke
-
-
-def _job_label(job) -> str:
-    workload = getattr(job.workload, "name", job.workload)
-    return f"{job.model} on {workload}"
-
-
-def _prewarm_traces(jobs) -> dict:
-    """Generate each distinct trace once, in the parent, before forking.
-
-    Chunking splits one workload's jobs across workers; without this,
-    every such worker would re-run the functional executor for the same
-    kernel.  Warming the parent's trace cache first means fork hands
-    every worker the already-built trace — trace generation stays
-    exactly-once per (workload, instructions) across the whole campaign.
-
-    A workload whose trace generation *raises* must not abort the
-    campaign: its exception is returned (keyed by trace key) so the
-    engine fails only that workload's jobs and runs everything else.
-    """
-    from .cache import TRACE_CACHE
-
-    failed: dict = {}
-    for key in {(job.workload, job.config.instructions) for job in jobs}:
-        workload, instructions = key
-        with obs_trace.span("workload",
-                            workload=str(getattr(workload, "name", workload)),
-                            instructions=instructions):
+    def trace_ready(self, task: _Task) -> bool:
+        """Build the task's trace (once per campaign); a workload whose
+        trace raises fails its jobs as kind ``"trace"``, no attempt
+        counted, and every other job still runs."""
+        key = (task.job.workload, task.job.config.instructions)
+        if key not in self._trace_errors:
             try:
                 TRACE_CACHE.get(*key)
+                self._trace_errors[key] = None
             except Exception as exc:
-                failed[key] = exc
-    return failed
+                self._trace_errors[key] = exc
+        exc = self._trace_errors[key]
+        if exc is not None:
+            self.fail(task, exc, "trace")
+        return exc is None
+
+    def retry(self, task: _Task, exc: BaseException) -> float | None:
+        """The one retry decision: the backoff before the next attempt,
+        or ``None`` once the budget is spent (the job then fails)."""
+        if task.attempts >= self.policy.max_attempts:
+            self.fail(task, RetryExhaustedError(task.label, task.key,
+                                                task.attempts, exc),
+                      "retries-exhausted")
+            return None
+        self.report.retries += 1
+        return _backoff(self.policy, task.attempts)
+
+    def settle(self, task: _Task, outcome, *args) -> float | None:
+        """Classify one finished attempt (``outcome(*args)`` returns its
+        result or raises its error): record it, fail it, or return the
+        backoff before retrying it.  Interrupts and pool casualties
+        propagate — an interrupted or orphaned cell has not failed."""
+        try:
+            result = outcome(*args)
+        except InjectedFault as exc:
+            return self.retry(task, exc)
+        except (KeyboardInterrupt, SystemExit, BrokenProcessPool,
+                CancelledError):
+            raise
+        except BaseException as exc:
+            self.fail(task, exc, "exception")
+            return None
+        self.record(task, result)
+        return None
+
+    def run_sequential(self, tasks, fresh_budget: bool = False) -> None:
+        """In-process execution with bounded retries (the jobs=1 path, and
+        the graceful-degradation target when pools keep dying)."""
+        for task in tasks:
+            if fresh_budget:
+                task.attempts = 0
+            with obs_trace.span("job", fp=task.key[:16], label=task.label):
+                if not self.trace_ready(task):
+                    continue
+                delay = 0.0
+                while delay is not None:
+                    task.start(self.report)
+                    delay = self.settle(task, _attempt, task.job, task.key,
+                                        task.seq, delay)
+
+    def run_pooled(self, tasks, workers: int) -> None:
+        """Per-job future submission with timeouts, retries, resurrection.
+
+        Every trace is built in the parent first, so fork hands each
+        worker the already-built trace.  Completed futures keep their
+        results across a pool death; after ``policy.max_pool_breaks``
+        deaths the remaining work degrades to sequential in-process
+        execution (fresh retry budget — a pool casualty is evidence
+        about the pool, not the job).
+        """
+        queue: deque[_Task] = deque(t for t in tasks if self.trace_ready(t))
+        breaks = 0
+        while queue:
+            if breaks >= self.policy.max_pool_breaks:
+                self.report.degradations += 1
+                self.run_sequential(list(queue), fresh_budget=True)
+                return
+            queue, broke = self._pool_round(queue, workers)
+            if broke:
+                breaks += 1
+                time.sleep(_backoff(self.policy, breaks))
+
+    def _pool_round(self, queue: deque, workers: int):
+        """One pool lifetime; returns (requeue, broke).
+
+        Runs until the queue drains or the pool must be torn down: a
+        worker death (``BrokenProcessPool`` fails every pending future at
+        once) or a per-job timeout (a running future cannot be
+        cancelled, so the whole pool is abandoned; ``shutdown(wait=False)``
+        leaves the stragglers to finish dying on their own).
+        """
+        policy, report = self.policy, self.report
+        requeue: deque[_Task] = deque()
+        pool = _pool(min(workers, len(queue)))
+        pending: dict = {}
+        broke = False
+
+        def submit(task: _Task, delay: float = 0.0) -> None:
+            nonlocal broke
+            if broke:
+                requeue.append(task)
+                return
+            task.start(report)
+            deadline = (time.monotonic() + policy.job_timeout
+                        if policy.job_timeout else None)
+            try:
+                future = pool.submit(_attempt, task.job, task.key,
+                                     task.seq, delay)
+            except BrokenProcessPool:
+                # The pool died between completions; the task is innocent.
+                broke = True
+                report.pool_breaks += 1
+                requeue.append(task)
+                return
+            pending[future] = (task, deadline)
+
+        try:
+            for task in queue:
+                submit(task)
+            while pending and not broke:
+                timeout = None
+                if policy.job_timeout:
+                    deadlines = [d for (_t, d) in pending.values()
+                                 if d is not None]
+                    if deadlines:
+                        timeout = max(0.0, min(deadlines) - time.monotonic())
+                done, _ = wait(list(pending), timeout=timeout,
+                               return_when=FIRST_COMPLETED)
+                for future in done:
+                    task, _deadline = pending.pop(future)
+                    try:
+                        delay = self.settle(task, future.result)
+                    except BrokenProcessPool:
+                        # The casualty and every sibling retry on a fresh
+                        # pool; completed futures in `done` keep their
+                        # results.  Counted once per pool lifetime.
+                        if not broke:
+                            broke = True
+                            report.pool_breaks += 1
+                        requeue.append(task)
+                    except CancelledError:  # pragma: no cover - defensive
+                        requeue.append(task)
+                    else:
+                        if delay is not None:
+                            submit(task, delay)
+                if policy.job_timeout and not broke:
+                    now = time.monotonic()
+                    overdue = [f for f, (_t, d) in pending.items()
+                               if d is not None and d <= now]
+                    if overdue:
+                        broke = True  # cannot cancel running futures
+                        for future in overdue:
+                            task, _deadline = pending.pop(future)
+                            report.timeouts += 1
+                            if self.retry(task, TimeoutError(
+                                    f"attempt exceeded {policy.job_timeout}s"
+                            )) is not None:
+                                requeue.append(task)
+            # Drain whatever the teardown left behind: futures that did
+            # finish keep their results; the rest go back on the queue
+            # (innocent casualties — no attempt penalty, but `seq` still
+            # advances on resubmission, so injected faults re-roll).
+            for future, (task, _deadline) in list(pending.items()):
+                if future.done() and not future.cancelled():
+                    try:
+                        if self.settle(task, future.result) is not None:
+                            requeue.append(task)
+                        continue
+                    except BrokenProcessPool:
+                        pass
+                requeue.append(task)
+        finally:
+            pool.shutdown(wait=not broke, cancel_futures=True)
+        return requeue, broke
 
 
 def _resolve_cached(jobs, memo: bool, disk,
                     report: CampaignReport, results: list):
-    """The memo and disk tiers, shared by the pool and fabric paths.
+    """The memo and disk tiers.
 
     Fills ``results`` in place for every cache hit and returns
     ``(positions, fresh)``: the index positions of each fresh
@@ -527,8 +472,7 @@ def _resolve_cached(jobs, memo: bool, disk,
 def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
              store=None, report: CampaignReport | None = None,
              strict: bool = True,
-             policy: RetryPolicy | None = None,
-             fabric=None) -> list:
+             policy: RetryPolicy | None = None) -> list:
     """Execute ``jobs`` (SimJobs); results in input order.
 
     Fingerprint-identical jobs execute once, whether the duplicate is in
@@ -555,32 +499,12 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
     all other jobs have completed and flushed.  ``strict=False``
     instead records failures in the report and leaves ``None`` in the
     failed slots, so one bad workload cannot abort a campaign.
-
-    ``fabric`` routes execution through the lease-based multi-worker
-    fabric (:func:`~repro.exec.fabric.run_jobs_fabric`): ``None``
-    consults ``REPRO_FABRIC_WORKERS`` (the CLI's ``--fabric`` sets it;
-    0/unset = off), an integer N spawns N fabric workers, ``True``
-    uses the fabric's default count, and ``False`` forces the
-    in-process path (the fabric's own degradation escape hatch).
     """
     from .store import resolve_store
 
     # One env read per campaign entry: hot paths below only test the
     # module-level TRACER global (the zero-overhead contract).
     obs_trace.refresh()
-    if fabric is not False:
-        requested = fabric
-        if requested is None:
-            requested = fabric_workers() or None
-        if requested:
-            from .fabric import run_jobs_fabric
-
-            return run_jobs_fabric(
-                jobs,
-                workers=(None if requested is True else int(requested)),
-                memo=memo, store=store, report=report, strict=strict,
-                policy=policy)
-
     jobs = list(jobs)
     workers = workers if workers is not None else default_jobs()
     policy = policy if policy is not None else RetryPolicy.from_env()
@@ -601,7 +525,6 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
                       else None)
     positions, fresh = _resolve_cached(jobs, memo, disk, report, results)
 
-    failures: dict[int, BaseException] = {}
     corrupt_before = disk.corrupt if disk is not None else 0
     store_unwritable = False
 
@@ -621,32 +544,15 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
         for i in positions[key]:
             results[i] = result
 
+    campaign = _Campaign(policy, report, record)
     try:
-        if fresh:
-            tasks = [
-                _Task(index=i, fn=_run_job, arg=job, key=job.fingerprint,
-                      label=_job_label(job))
-                for i, job in enumerate(fresh)]
-            if workers > 1 and len(fresh) > 1:
-                trace_failures = _prewarm_traces(fresh)
-                runnable = []
-                for task in tasks:
-                    trace_key = (task.arg.workload,
-                                 task.arg.config.instructions)
-                    if trace_key in trace_failures:
-                        _fail(task, trace_failures[trace_key], "trace",
-                              failures, report)
-                    else:
-                        runnable.append(task)
-                if runnable:
-                    _run_tasks_pooled(runnable,
-                                      min(workers, len(runnable)),
-                                      policy, report, record, failures)
-            else:
-                _run_tasks_sequential(tasks, policy, report, record,
-                                      failures)
-            if failures and strict:
-                raise failures[min(failures)]
+        tasks = [_Task(i, job) for i, job in enumerate(fresh)]
+        if workers > 1 and len(tasks) > 1:
+            campaign.run_pooled(tasks, workers)
+        else:
+            campaign.run_sequential(tasks)
+        if campaign.failures and strict:
+            raise campaign.failures[min(campaign.failures)]
     finally:
         if disk is not None:
             report.store_errors += disk.corrupt - corrupt_before
@@ -664,42 +570,3 @@ def run_jobs(jobs, *, workers: int | None = None, memo: bool = True,
                                 scope="campaign")
         campaign_span.__exit__(None, None, None)
     return results
-
-
-def parallel_map(fn, items, *, workers: int | None = None,
-                 report: CampaignReport | None = None,
-                 policy: RetryPolicy | None = None) -> list:
-    """Ordered ``map(fn, items)``, pooled when workers > 1.
-
-    For campaign pieces that are not plain SimJobs (the Figure 1
-    scenario micro-programs, for instance).  ``fn`` must be a
-    module-level callable and ``items`` picklable; there is no memo,
-    but the fault-tolerant scheduler (retries, pool resurrection,
-    sequential degradation) is the same one ``run_jobs`` uses — ``fn``
-    must therefore be deterministic, which every campaign piece already
-    guarantees.
-    """
-    items = list(items)
-    workers = workers if workers is not None else default_jobs()
-    policy = policy if policy is not None else RetryPolicy.from_env()
-    report = report if report is not None else CampaignReport()
-    report.jobs += len(items)
-    name = getattr(fn, "__name__", "fn")
-    tasks = [_Task(index=i, fn=fn, arg=item, key=f"{name}:{i}",
-                   label=f"{name}[{i}]")
-             for i, item in enumerate(items)]
-    results: dict[int, object] = {}
-    failures: dict[int, BaseException] = {}
-
-    def record(task: _Task, result) -> None:
-        report.computed += 1
-        results[task.index] = result
-
-    if workers > 1 and len(items) > 1:
-        _run_tasks_pooled(tasks, min(workers, len(items)), policy,
-                          report, record, failures)
-    else:
-        _run_tasks_sequential(tasks, policy, report, record, failures)
-    if failures:
-        raise failures[min(failures)]
-    return [results[i] for i in range(len(items))]

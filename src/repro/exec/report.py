@@ -2,7 +2,7 @@
 
 A fault-tolerant scheduler that hides every retry, timeout, pool
 resurrection, and quarantined record is indistinguishable from a flaky
-one.  :class:`CampaignReport` is the ledger the engine fills while it
+one.  :class:`CampaignReport` is the tally the engine fills while it
 works; ``run_suite``/figures/sweeps thread it through, and the CLI
 prints a one-line summary whenever a campaign had incidents.
 
@@ -12,14 +12,14 @@ many batched campaigns): counters accumulate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
 class JobFailure:
     """One permanently failed job (after retries, if it had any)."""
 
-    label: str          # "model on workload" (or the parallel_map item)
+    label: str          # "model on workload"
     fingerprint: str
     kind: str           # "exception" | "retries-exhausted" | "trace"
     error: str
@@ -43,32 +43,19 @@ class CampaignReport:
     pool_breaks: int = 0    #: BrokenProcessPool events survived
     degradations: int = 0   #: falls back to sequential in-process execution
     store_errors: int = 0   #: corrupt records met + failed store writes
-    # Fabric lease churn (:mod:`repro.exec.fabric`): issuing a lease is
-    # routine, everything after it is something the fabric *survived*.
-    leases_issued: int = 0     #: fresh leases claimed on unheld jobs
-    leases_expired: int = 0    #: leases observed past their TTL
-    leases_stolen: int = 0     #: takeovers of an expired lease
-    leases_reclaimed: int = 0  #: takeovers of a torn/unreadable lease
-    worker_deaths: int = 0     #: fabric worker processes that died
     failures: list[JobFailure] = field(default_factory=list)
 
     def incidents(self) -> int:
         """Anything the engine had to absorb (0 = a boring campaign)."""
         return (self.retries + self.timeouts + self.pool_breaks
                 + self.degradations + self.store_errors
-                + self.leases_expired + self.leases_stolen
-                + self.leases_reclaimed + self.worker_deaths
                 + len(self.failures))
 
     def ok(self) -> bool:
         return not self.failures
 
     def merge(self, other: "CampaignReport") -> "CampaignReport":
-        for name in ("jobs", "memo_hits", "store_hits", "computed",
-                     "attempts", "retries", "timeouts", "pool_breaks",
-                     "degradations", "store_errors", "leases_issued",
-                     "leases_expired", "leases_stolen", "leases_reclaimed",
-                     "worker_deaths"):
+        for name in _COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.failures.extend(other.failures)
         return self
@@ -81,48 +68,27 @@ class CampaignReport:
         out["failed_jobs"] = len(self.failures)
         return out
 
-    def to_metrics(self, registry, prefix: str = "campaign") -> None:
-        """Mirror these tallies into a
-        :class:`repro.obs.metrics.MetricsRegistry`."""
-        registry.count_into(prefix, self.tallies())
-
     def as_dict(self) -> dict:
-        return {
-            "jobs": self.jobs,
-            "memo_hits": self.memo_hits,
-            "store_hits": self.store_hits,
-            "computed": self.computed,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "pool_breaks": self.pool_breaks,
-            "degradations": self.degradations,
-            "store_errors": self.store_errors,
-            "leases_issued": self.leases_issued,
-            "leases_expired": self.leases_expired,
-            "leases_stolen": self.leases_stolen,
-            "leases_reclaimed": self.leases_reclaimed,
-            "worker_deaths": self.worker_deaths,
-            "failures": [str(f) for f in self.failures],
-        }
+        out = {name: getattr(self, name) for name in _COUNTERS}
+        out["failures"] = [str(f) for f in self.failures]
+        return out
 
     def summary(self) -> str:
         parts = [f"{self.jobs} jobs", f"{self.computed} computed",
                  f"{self.memo_hits} memo hits",
                  f"{self.store_hits} store hits"]
-        if self.leases_issued:
-            parts.append(f"{self.leases_issued} leases")
         for name, label in (("retries", "retries"), ("timeouts", "timeouts"),
                             ("pool_breaks", "pool breaks"),
                             ("degradations", "degradations"),
-                            ("store_errors", "store errors"),
-                            ("leases_expired", "leases expired"),
-                            ("leases_stolen", "leases stolen"),
-                            ("leases_reclaimed", "leases reclaimed"),
-                            ("worker_deaths", "worker deaths")):
+                            ("store_errors", "store errors")):
             value = getattr(self, name)
             if value:
                 parts.append(f"{value} {label}")
         if self.failures:
             parts.append(f"{len(self.failures)} FAILED")
         return "campaign: " + ", ".join(parts)
+
+
+#: The numeric counters, in declaration order (``failures`` excluded).
+_COUNTERS = tuple(f.name for f in fields(CampaignReport)
+                  if f.name != "failures")

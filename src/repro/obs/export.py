@@ -1,12 +1,12 @@
 """Merge per-process obs logs and export Chrome trace-event JSON.
 
-``repro obs export --chrome`` turns a traced campaign — any mix of the
-coordinator, pool workers, and fabric workers, each with its own
-append-only JSONL log under ``<store>/obs/`` — into one Chrome
-trace-event file (the JSON Array Format with a ``traceEvents`` wrapper)
-that chrome://tracing and https://ui.perfetto.dev render as a timeline
-with one track per process: the whole multi-worker fabric campaign on
-one screen, lease churn and store flushes included.
+``repro obs export --chrome`` turns a traced campaign — the parent
+process and each pool worker, each with its own append-only JSONL log
+under ``<store>/obs/`` — into one Chrome trace-event file (the JSON
+Array Format with a ``traceEvents`` wrapper) that chrome://tracing and
+https://ui.perfetto.dev render as a timeline with one track per
+process: the whole pooled campaign on one screen, store flushes
+included.
 
 The span records are already almost Chrome events ("X" complete events
 with microsecond ``ts``/``dur``); export normalises timestamps to the

@@ -2,8 +2,8 @@
 
 One merge-safe facility behind every tally in the stack.  The
 :class:`~repro.exec.report.CampaignReport` counters, the store's
-``counters.json`` session deltas, the fabric's per-worker lease stats,
-and the engine's leap-audit probes all mirror into a process-local
+``counters.json`` session deltas, and the engine's leap-audit probes
+all mirror into a process-local
 :class:`MetricsRegistry`, whose snapshot (:meth:`MetricsRegistry.snapshot`)
 is a plain JSON-able dict designed so that snapshots from *any* number
 of processes merge by addition (:func:`merge_snapshots`) — counters
@@ -118,7 +118,7 @@ class MetricsRegistry:
 
     def count_into(self, prefix: str, tallies: dict) -> None:
         """Mirror a dict of numeric tallies as ``<prefix>.<key>`` counters
-        (the CampaignReport / worker-stats / store-counters bridge)."""
+        (the CampaignReport / store-counters bridge)."""
         for key, value in tallies.items():
             if isinstance(value, (int, float)) and value:
                 self.counter(f"{prefix}.{key}").inc(int(value))

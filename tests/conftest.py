@@ -24,11 +24,6 @@ def hermetic_result_store(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_RETRIES", raising=False)
     monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
-    # The lease fabric is likewise opt-in: a developer's fabric/TTL
-    # settings must not reroute (or retime) test campaigns.
-    monkeypatch.delenv("REPRO_FABRIC_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_LEASE_TTL", raising=False)
-    monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
     # Telemetry is observation-only, but a developer's REPRO_TRACE must
     # not scatter obs logs through test stores (or flip report output).
     monkeypatch.delenv("REPRO_TRACE", raising=False)

@@ -4,14 +4,19 @@ import pickle
 
 import pytest
 
-from repro.exec import RESULT_CACHE, SimJob, default_jobs, parallel_map, run_jobs
+from dataclasses import dataclass
+
+from repro.exec import (
+    RESULT_CACHE,
+    CampaignReport,
+    RetryPolicy,
+    SimJob,
+    default_jobs,
+    run_jobs,
+)
 from repro.harness.experiment import ExperimentConfig, run_suite
 
 WORKLOADS = ("mesa_like", "crafty_like", "gzip_like")
-
-
-def _square(x: int) -> int:
-    return x * x
 
 
 def _stats_bytes(result):
@@ -35,12 +40,13 @@ def test_parallel_results_equal_sequential_exactly():
             assert _stats_bytes(seq) == _stats_bytes(par), (workload, model)
 
 
-def test_run_jobs_preserves_input_order():
+@pytest.mark.parametrize("workers", (1, 2))
+def test_run_jobs_preserves_input_order(workers):
     cfg = ExperimentConfig(instructions=300)
     jobs = [SimJob(m, w, cfg)
             for w in ("crafty_like", "mesa_like")
             for m in ("icfp", "in-order")]
-    results = run_jobs(jobs, workers=1)
+    results = run_jobs(jobs, workers=workers)
     assert [(r.model, r.workload) for r in results] == \
         [(j.model, j.workload) for j in jobs]
 
@@ -59,15 +65,47 @@ def test_default_jobs_resolution(monkeypatch):
     assert default_jobs() == 1  # clamped
     monkeypatch.delenv("REPRO_JOBS")
     assert default_jobs() >= 1
+    monkeypatch.setenv("REPRO_JOBS", "many")
+    with pytest.raises(ValueError, match="REPRO_JOBS"):
+        default_jobs()
+
+
+@pytest.mark.parametrize("env,field,value", [
+    ({"REPRO_RETRIES": "0"}, "max_attempts", 1),
+    ({"REPRO_RETRIES": "2"}, "max_attempts", 3),
+    ({"REPRO_JOB_TIMEOUT": "1.5"}, "job_timeout", 1.5),
+    ({"REPRO_JOB_TIMEOUT": "0"}, "job_timeout", None),
+    ({}, "max_attempts", 4),
+])
+def test_retry_policy_from_env(monkeypatch, env, field, value):
+    for name, text in env.items():
+        monkeypatch.setenv(name, text)
+    assert getattr(RetryPolicy.from_env(), field) == value
+
+
+@pytest.mark.parametrize("name", ("REPRO_RETRIES", "REPRO_JOB_TIMEOUT"))
+def test_retry_policy_rejects_garbage(monkeypatch, name):
+    monkeypatch.setenv(name, "lots")
+    with pytest.raises(ValueError, match=name):
+        RetryPolicy.from_env()
+
+
+@dataclass(frozen=True)
+class _InterruptedJob(SimJob):
+    def run(self):
+        raise KeyboardInterrupt
+
+
+def test_interrupted_attempt_surfaces_and_is_not_a_failure():
+    cfg = ExperimentConfig(instructions=300)
+    report = CampaignReport()
+    with pytest.raises(KeyboardInterrupt):
+        run_jobs([_InterruptedJob("in-order", "mesa_like", cfg)], workers=1,
+                 memo=False, store=False, report=report, strict=False)
+    assert report.failures == [] and report.retries == 0
 
 
 def test_worker_exceptions_propagate():
     cfg = ExperimentConfig(instructions=300)
     with pytest.raises(KeyError):
         run_jobs([SimJob("in-order", "doom_like", cfg)], workers=1)
-
-
-def test_parallel_map_matches_sequential_map():
-    items = list(range(7))
-    assert parallel_map(_square, items, workers=1) == [x * x for x in items]
-    assert parallel_map(_square, items, workers=2) == [x * x for x in items]

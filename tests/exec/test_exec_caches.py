@@ -1,6 +1,15 @@
 """Trace- and result-cache semantics."""
 
-from repro.exec import RESULT_CACHE, TRACE_CACHE, SimJob, TraceCache, run_jobs
+import pytest
+
+from repro.exec import (
+    RESULT_CACHE,
+    TRACE_CACHE,
+    CampaignReport,
+    SimJob,
+    TraceCache,
+    run_jobs,
+)
 from repro.harness.experiment import ExperimentConfig
 from repro.workloads import trace_by_name
 
@@ -43,14 +52,19 @@ def test_result_cache_memoizes_repeat_jobs():
     assert RESULT_CACHE.hits == 1
 
 
-def test_result_cache_dedupes_within_one_batch():
+@pytest.mark.parametrize("workers", (1, 2))
+def test_result_cache_dedupes_within_one_batch(workers):
     RESULT_CACHE.clear()
     cfg = ExperimentConfig(instructions=300)
     job = SimJob("in-order", "mesa_like", cfg)
     twin = SimJob("in-order", "mesa_like", ExperimentConfig(instructions=300))
-    a, b = run_jobs([job, twin], workers=1)
-    assert a is b
-    assert len(RESULT_CACHE) == 1
+    # A second distinct job, so workers=2 really runs the pool.
+    other = SimJob("icfp", "mesa_like", cfg)
+    report = CampaignReport()
+    a, c, b = run_jobs([job, other, twin], workers=workers, report=report)
+    assert a is b and c.model == "icfp"
+    assert report.computed == report.attempts == 2
+    assert len(RESULT_CACHE) == 2
 
 
 def test_memo_false_bypasses_cross_call_cache():

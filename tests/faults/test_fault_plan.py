@@ -36,7 +36,10 @@ def test_parse_empty_parts_and_defaults():
 
 
 @pytest.mark.parametrize("bad", ["banana=1", "worker_death", "seed=x",
-                                 "worker_death=fast"])
+                                 "worker_death=fast",
+                                 # knobs of the removed lease fabric
+                                 "lease_torn=0.1", "heartbeat_stall=0.1",
+                                 "clock_skew=0.1", "clock_skew_seconds=1.5"])
 def test_parse_rejects_bad_specs(bad):
     with pytest.raises(ValueError, match="bad fault spec"):
         FaultPlan.parse(bad)

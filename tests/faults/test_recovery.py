@@ -2,7 +2,10 @@
 
 The contract under test (the chaos harness's whole point): any injected
 fault that is eventually retried to success leaves campaign results
-byte-identical to a fault-free run.
+byte-identical to a fault-free run.  In-process (``workers=1``) and
+pooled (``workers=2``) execution share one attempt loop, so the tests
+that do not need a worker pool run in both regimes and must report the
+same thing in each.
 """
 
 import json
@@ -42,41 +45,66 @@ def _clean(jobs):
     return run_jobs(jobs, workers=1, memo=False, store=False)
 
 
-def test_injected_exception_retries_to_identical_results():
+def _forced_retries(plan, jobs, max_attempts=RetryPolicy().max_attempts):
+    """Parent-side oracle: the retries ``plan``'s job exceptions force.
+
+    Worker-side injector counters die with the worker, so both regimes
+    are checked against this instead: each job retries once per leading
+    faulting attempt.
+    """
+    retries = 0
+    for job in jobs:
+        attempt = 1
+        while (attempt < max_attempts
+               and plan.would_fail("job_exception", job.fingerprint,
+                                   attempt)):
+            retries += 1
+            attempt += 1
+    return retries
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_injected_exception_retries_to_identical_results(workers):
     jobs = _jobs()
     clean = _clean(jobs)
     report = CampaignReport()
-    with injected_faults(FaultPlan(seed=1, job_exception=0.3)) as injector:
-        faulty = run_jobs(jobs, workers=1, memo=False, store=False,
+    plan = FaultPlan(seed=1, job_exception=0.3)
+    with injected_faults(plan):
+        faulty = run_jobs(jobs, workers=workers, memo=False, store=False,
                           report=report)
-    assert injector.counts["job_exception"] >= 1
-    assert report.retries == injector.counts["job_exception"]
+    assert report.retries == _forced_retries(plan, jobs) >= 1
     assert report.attempts == len(jobs) + report.retries
     assert _payloads(faulty) == _payloads(clean)
     assert report.ok() and report.incidents() == report.retries
 
 
-def test_retry_exhaustion_names_the_job():
-    jobs = _jobs()[:1]
+@pytest.mark.parametrize("workers", (1, 2))
+def test_retry_exhaustion_names_the_job(workers):
+    jobs = _jobs()[:2]
     fingerprint = jobs[0].fingerprint
+    report = CampaignReport()
     with injected_faults(FaultPlan(job_exception=1.0)):
         with pytest.raises(RetryExhaustedError) as excinfo:
-            run_jobs(jobs, workers=1, memo=False, store=False,
+            run_jobs(jobs, workers=workers, memo=False, store=False,
+                     report=report,
                      policy=RetryPolicy(max_attempts=3, backoff_base=0.0))
     message = str(excinfo.value)
     assert "in-order on mesa_like" in message
     assert fingerprint[:16] in message
     assert "failed 3 attempts" in message
     assert isinstance(excinfo.value.__cause__, Exception)
+    assert report.attempts == 3 * len(jobs)
+    assert report.retries == 2 * len(jobs)
 
 
-def test_strict_false_records_failures_and_keeps_going():
+@pytest.mark.parametrize("workers", (1, 2))
+def test_strict_false_records_failures_and_keeps_going(workers):
     jobs = _jobs()
     report = CampaignReport()
     # only this one fingerprint always faults: rate 1.0 keyed per-job is
     # not expressible, so fault everything and retry-exhaust the lot
     with injected_faults(FaultPlan(job_exception=1.0)):
-        results = run_jobs(jobs, workers=1, memo=False, store=False,
+        results = run_jobs(jobs, workers=workers, memo=False, store=False,
                            report=report, strict=False,
                            policy=RetryPolicy(max_attempts=2,
                                               backoff_base=0.0))
@@ -86,25 +114,31 @@ def test_strict_false_records_failures_and_keeps_going():
     assert not report.ok()
 
 
-def test_genuine_exception_is_not_retried_and_carries_identity():
+@pytest.mark.parametrize("workers", (1, 2))
+def test_genuine_exception_is_not_retried_and_carries_identity(workers):
     cfg = ExperimentConfig(instructions=300)
-    jobs = [SimJob("in-order", "doom_like", cfg)]
+    # The trace builds; the attempt itself raises (no such machine model).
+    bad = SimJob("tomasulo", "mesa_like", cfg)
+    jobs = [bad, SimJob("in-order", "mesa_like", cfg)]
     report = CampaignReport()
-    with pytest.raises(KeyError) as excinfo:
-        run_jobs(jobs, workers=1, memo=False, store=False, report=report)
-    assert report.retries == 0 and report.attempts == 1
+    with pytest.raises(ValueError, match="unknown model") as excinfo:
+        run_jobs(jobs, workers=workers, memo=False, store=False,
+                 report=report)
+    assert report.retries == 0 and report.attempts == len(jobs)
+    assert [f.kind for f in report.failures] == ["exception"]
     notes = getattr(excinfo.value, "__notes__", [])
-    assert any("doom_like" in note and jobs[0].fingerprint[:16] in note
-               for note in notes)
+    assert any("tomasulo on mesa_like" in note
+               and bad.fingerprint[:16] in note for note in notes)
 
 
-def test_failing_job_does_not_discard_siblings(tmp_path):
+@pytest.mark.parametrize("workers", (1, 2))
+def test_failing_job_does_not_discard_siblings(tmp_path, workers):
     cfg = ExperimentConfig(instructions=302)
     doomed = SimJob("in-order", "doom_like", cfg)
     good = SimJob("in-order", "mesa_like", cfg)
     store = ResultStore(str(tmp_path / "store"))
     with pytest.raises(KeyError):
-        run_jobs([doomed, good], workers=1, memo=False, store=store)
+        run_jobs([doomed, good], workers=workers, memo=False, store=store)
     # the sibling computed after the failure was flushed anyway
     assert store.get_result(good.fingerprint) is not None
     # and the session counters reached counters.json (try/finally)
@@ -155,13 +189,14 @@ def test_timeout_reaps_slow_jobs_then_retries_to_success():
     assert report.ok()
 
 
-def test_prewarm_failure_is_isolated_to_its_workload():
+@pytest.mark.parametrize("workers", (1, 2))
+def test_prewarm_failure_is_isolated_to_its_workload(workers):
     cfg = ExperimentConfig(instructions=304)
     jobs = [SimJob(m, w, cfg)
             for w in ("mesa_like", "doom_like", "gzip_like")
             for m in ("in-order", "icfp")]
     report = CampaignReport()
-    results = run_jobs(jobs, workers=2, memo=False, store=False,
+    results = run_jobs(jobs, workers=workers, memo=False, store=False,
                        report=report, strict=False)
     by_workload = {}
     for job, result in zip(jobs, results):
@@ -171,6 +206,8 @@ def test_prewarm_failure_is_isolated_to_its_workload():
     assert by_workload["doom_like"] == [None, None]
     assert len(report.failures) == 2
     assert all(f.kind == "trace" for f in report.failures)
+    # A job whose trace cannot be built is never attempted.
+    assert report.attempts == report.computed == 4
 
 
 def _acceptance_plan(jobs):

@@ -4,7 +4,9 @@ The engine flushes each computed result to the disk store the moment it
 completes, so a campaign killed mid-flight and resumed in a fresh
 process must serve every already-flushed cell from the store and
 recompute exactly the rest — verified by the store's hit/write
-counters, not by timing luck.
+counters, not by timing luck.  The parent flushes every cell whether
+it ran in-process or in a pool worker, so both regimes resume the same
+way.
 """
 
 import glob
@@ -32,7 +34,7 @@ from repro.exec import run_jobs, SimJob
 from repro.harness.experiment import ExperimentConfig
 cfg = ExperimentConfig(instructions={instructions})
 jobs = [SimJob(m, w, cfg) for w in {workloads!r} for m in {models!r}]
-run_jobs(jobs, workers=1)
+run_jobs(jobs, workers={workers})
 """
 
 
@@ -42,23 +44,26 @@ def _result_records(root):
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("workers", (1, 2))
 def test_sigkill_mid_campaign_resumes_without_recomputing_flushed_cells(
-        tmp_path):
+        tmp_path, workers):
     root = str(tmp_path / "shared-store")
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     script = _CAMPAIGN.format(src=os.path.abspath(src),
                               instructions=INSTRUCTIONS,
-                              workloads=WORKLOADS, models=MODELS)
+                              workloads=WORKLOADS, models=MODELS,
+                              workers=workers)
     env = dict(os.environ,
                REPRO_CACHE_DIR=root,
                REPRO_STORE="1",
-               REPRO_JOBS="1",
                # every attempt crawls: spaces the per-cell flushes out
                # so the kill lands mid-campaign, not after it
                REPRO_FAULTS="slow=1.0,slow_seconds=0.4")
+    # Its own process group, so the kill takes the pool workers with it.
     proc = subprocess.Popen([sys.executable, "-c", script], env=env,
                             stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
+                            stderr=subprocess.DEVNULL,
+                            start_new_session=True)
     try:
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
@@ -66,7 +71,7 @@ def test_sigkill_mid_campaign_resumes_without_recomputing_flushed_cells(
                 break
             time.sleep(0.01)
         if proc.poll() is None:
-            os.kill(proc.pid, signal.SIGKILL)
+            os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
     finally:
         if proc.poll() is None:  # pragma: no cover - defensive

@@ -62,13 +62,44 @@ def test_figure6_prints_one_row_per_latency(capsys):
     assert rows == ["10", "20", "30", "40", "50"]
 
 
-def test_sweep_poison_bits_prints_one_row_per_width(capsys):
-    out = run_cli(capsys, "sweep", "poison-bits", "-w", "mcf_like",
+@pytest.mark.parametrize("parameter,knob,values", [
+    ("poison-bits", "poison_bits", ["1", "2", "4", "8"]),
+    ("chain-table", "chain_table_size", ["64", "128", "512"]),
+])
+def test_sweep_prints_one_row_per_value(capsys, parameter, knob, values):
+    out = run_cli(capsys, "sweep", parameter, "-w", "mcf_like",
                   "-n", "800", "-j", "1")
     rows = [line.split("=")[1].split(":")[0].strip()
             for line in out.splitlines()
-            if line.strip().startswith("poison_bits=")]
-    assert rows == ["1", "2", "4", "8"]
+            if line.strip().startswith(f"{knob}=")]
+    assert rows == values
+
+
+def test_figure7_prints_each_feature_step(capsys):
+    out = run_cli(capsys, "figure7", "-w", "mcf_like", "-n", "400",
+                  "-j", "1")
+    assert "Figure 7" in out and "MT rallies (iCFP)" in out
+    rows = {line.split()[0] for line in out.splitlines() if line.split()}
+    assert {"mcf_like", "gmean"} <= rows
+
+
+def test_figure8_prints_each_store_buffer(capsys):
+    out = run_cli(capsys, "figure8", "-w", "mcf_like", "-n", "400",
+                  "-j", "1")
+    assert "Figure 8" in out
+    for column in ("indexed", "chained (iCFP)", "fully-assoc", "hops/load"):
+        assert column in out
+    assert any(line.startswith("mcf_like") for line in out.splitlines())
+
+
+def test_scenarios_prints_all_six_for_every_model(capsys):
+    out = run_cli(capsys, "scenarios")
+    header, *rows = out.splitlines()
+    for model in ("in-order", "runahead", "multipass", "sltp", "icfp"):
+        assert model in header
+    assert [row.split()[0] for row in rows] == \
+        [f"figure-1{key}" for key in "abcdef"]
+    assert all(len(row.split()) == 6 for row in rows)
 
 
 def test_phases_command_breaks_down_generated_workloads(capsys):
@@ -143,56 +174,19 @@ def test_cache_gc_requires_older_than(capsys):
     assert "gc:" in out
 
 
-# ----------------------------------------------------------------------
-# the campaign fabric through the CLI
-# ----------------------------------------------------------------------
-def test_parser_knows_the_fabric_surface():
-    parser = build_parser()
-    text = parser.format_help()
-    assert "campaign" in text and "worker" in text
-    args = parser.parse_args(["run", "mesa_like", "icfp", "--fabric", "2"])
-    assert args.fabric == 2
-    args = parser.parse_args(["worker", "--ledger", "abcd", "--index", "3"])
-    assert args.ledger == "abcd" and args.index == 3
-
-
-def test_campaign_submit_status_drain_join_round_trip(capsys):
-    # submit: durably ledger the grid without running a single job.
-    out = run_cli(capsys, "campaign", "submit", "-w", "mesa_like",
-                  "-n", "430")
-    assert "ledgered" in out
-    prefix = out.split()[1].rstrip(":")
-    assert len(prefix) == 16
-
-    out = run_cli(capsys, "campaign", "status")
-    assert prefix in out and "0/5 done" in out
-
-    # worker: one CLI worker process drains the whole ledger.
-    run_cli(capsys, "worker", "--ledger", prefix)
-    out = run_cli(capsys, "campaign", "status", prefix)
-    assert "5/5 done" in out
-
-    # join: the coordinator adopts every drained cell from the store.
-    out = run_cli(capsys, "campaign", "join", "-w", "mesa_like",
-                  "-n", "430", "--fabric", "1")
-    assert "campaign joined: 5/5 cells settled" in out
-    assert "(0 computed, 5 from store)" in out
-
-
-def test_campaign_status_with_no_ledgers(capsys):
-    out = run_cli(capsys, "campaign", "status")
-    assert "no campaign ledgers" in out
-
-
-def test_worker_rejects_unknown_ledger():
-    with pytest.raises(SystemExit):
-        main(["worker", "--ledger", "feedfacedeadbeef"])
-
-
-def test_campaign_needs_the_disk_store(monkeypatch):
-    monkeypatch.setenv("REPRO_STORE", "0")
-    with pytest.raises(SystemExit):
-        main(["campaign", "submit", "-w", "mesa_like", "-n", "430"])
+@pytest.mark.parametrize("argv", [
+    ["figure5", "--fabric", "2"],
+    ["campaign", "status"],
+    ["campaign", "submit", "-w", "mesa_like"],
+    ["worker", "--ledger", "abcd"],
+    ["top", "--once"],
+], ids=["--fabric", "campaign-status", "campaign-submit", "worker", "top"])
+def test_removed_lease_fabric_surface_is_rejected(argv):
+    # The process pool is the only parallel backend: the lease fabric's
+    # option and commands are gone, not silently ignored.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
 
 
 @pytest.mark.slow

@@ -16,13 +16,12 @@ def test_all_six_scenarios_build_and_run():
 
 def test_run_all_scenarios_is_incremental(monkeypatch):
     """A repeated scenario campaign comes entirely from the disk store."""
-    monkeypatch.setenv("REPRO_JOBS", "1")
     models = ("in-order", "icfp")
     first = run_all_scenarios(models=models)
     computed = []
     monkeypatch.setattr(
-        scenarios_mod, "_scenario_cell",
-        lambda item: computed.append(item[0]))
+        scenarios_mod, "run_scenario",
+        lambda scenario, *args: computed.append(scenario.key))
     second = run_all_scenarios(models=models)
     assert computed == []
     assert second == first
@@ -30,7 +29,6 @@ def test_run_all_scenarios_is_incremental(monkeypatch):
 
 def test_scenario_edit_invalidates_store_record(monkeypatch):
     """Changing a micro-program's content must bust its store key."""
-    monkeypatch.setenv("REPRO_JOBS", "1")
     models = ("in-order",)
     first = run_all_scenarios(models=models)
 
@@ -44,10 +42,11 @@ def test_scenario_edit_invalidates_store_record(monkeypatch):
 
     monkeypatch.setitem(SCENARIOS, "a", edited_scenario_a)
     computed = []
-    real_cell = scenarios_mod._scenario_cell
+    real_run = scenarios_mod.run_scenario
     monkeypatch.setattr(
-        scenarios_mod, "_scenario_cell",
-        lambda item: (computed.append(item[0]), real_cell(item))[1])
+        scenarios_mod, "run_scenario",
+        lambda scenario, *args: (computed.append(scenario.key),
+                                 real_run(scenario, *args))[1])
     run_all_scenarios(models=models)
     assert computed == ["a"], "edited scenario served stale store record"
 

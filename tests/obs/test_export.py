@@ -51,7 +51,7 @@ def test_to_chrome_normalises_and_annotates():
          "args": {"name": "worker-w0-3"}},
         {"ph": "X", "name": "job", "ts": 1_000_100, "dur": 40,
          "pid": 3, "tid": 9, "args": {"fp": "ab"}},
-        {"ph": "i", "name": "lease.issued", "ts": 1_000_150, "pid": 3,
+        {"ph": "i", "name": "cell.done", "ts": 1_000_150, "pid": 3,
          "tid": 9, "args": {}},
         {"ph": "metrics", "ts": 1_000_200, "pid": 3,
          "metrics": {"counters": {"n": 2}}},
@@ -79,7 +79,7 @@ def test_export_chrome_round_trip(tmp_path):
     with obs_trace.span("campaign", jobs=1):
         with obs_trace.span("attempt", fp="ff", attempt=1):
             pass
-    obs_trace.event("lease.done", fp="ff")
+    obs_trace.event("cell.done", fp="ff")
     tracer.emit_metrics({"counters": {"campaign.computed": 1},
                          "gauges": {}, "histograms": {}})
     obs_trace.deactivate()

@@ -1,16 +1,14 @@
 """The observation-only law (tier-1): tracing never changes results.
 
 Running any campaign with ``REPRO_TRACE`` set — sequential grid or
-multi-worker fabric — must produce byte-identical results and stats to
-the untraced run, while the obs logs it leaves behind round-trip
-through the Chrome exporter with at least one span per job attempt and
-one instant per lease transition.
+worker pool — must produce byte-identical results and stats to the
+untraced run, while the obs logs it leaves behind round-trip through
+the Chrome exporter with one span per job attempt.
 """
 
 import json
 
 from repro.exec import CampaignReport, ResultStore, SimJob, run_jobs
-from repro.exec.fabric import run_jobs_fabric
 from repro.exec.store import result_to_payload
 from repro.harness.experiment import ExperimentConfig
 from repro.obs.export import export_chrome, merge_logs
@@ -31,7 +29,7 @@ def _payloads(results):
 
 
 def _clean(jobs):
-    return run_jobs(jobs, workers=1, memo=False, store=False, fabric=False)
+    return run_jobs(jobs, workers=1, memo=False, store=False)
 
 
 def test_traced_sequential_grid_is_byte_identical(tmp_path, monkeypatch):
@@ -39,8 +37,7 @@ def test_traced_sequential_grid_is_byte_identical(tmp_path, monkeypatch):
     clean = _clean(jobs)
     obs_dir = str(tmp_path / "obs")
     monkeypatch.setenv("REPRO_TRACE", obs_dir)
-    traced = run_jobs(jobs, workers=1, memo=False, store=False,
-                      fabric=False)
+    traced = run_jobs(jobs, workers=1, memo=False, store=False)
     assert _payloads(traced) == _payloads(clean)
     # ...and the run actually recorded: a campaign span, one job span
     # per cell, and the engine's leap-audit metrics.
@@ -55,7 +52,7 @@ def test_traced_sequential_grid_is_byte_identical(tmp_path, monkeypatch):
     assert counters.get("engine.leaps", 0) > 0  # the probe saw leaps
 
 
-def test_traced_fabric_campaign_is_byte_identical_and_exports(
+def test_traced_pool_campaign_is_byte_identical_and_exports(
         tmp_path, monkeypatch):
     jobs = _jobs(349)
     clean = _clean(jobs)
@@ -63,10 +60,10 @@ def test_traced_fabric_campaign_is_byte_identical_and_exports(
     monkeypatch.setenv("REPRO_TRACE", obs_dir)
     store = ResultStore(str(tmp_path / "store"))
     report = CampaignReport()
-    results = run_jobs_fabric(jobs, workers=2, memo=False, store=store,
-                              report=report)
+    results = run_jobs(jobs, workers=2, memo=False, store=store,
+                       report=report)
     assert _payloads(results) == _payloads(clean)
-    assert report.computed == len(jobs)
+    assert report.computed == len(jobs) and report.attempts == len(jobs)
 
     # Round trip: the merged logs export to valid Chrome trace JSON...
     out = str(tmp_path / "trace.chrome.json")
@@ -75,39 +72,26 @@ def test_traced_fabric_campaign_is_byte_identical_and_exports(
         doc = json.load(handle)
     events = doc["traceEvents"]
     assert info["events"] == sum(1 for e in events if e["ph"] in ("X", "i"))
-    # ...with the coordinator and both workers as distinct tracks...
+    # ...with the parent and the pool workers as distinct tracks...
     assert info["tracks"] >= 2
 
-    fps = {job.fingerprint[:16] for job in jobs}
+    # ...exactly one attempt span per job, all of them in the workers...
     spans = [e for e in events if e["ph"] == "X"]
-    instants = [e for e in events if e["ph"] == "i"]
-    # ...at least one attempt span per job...
-    attempted = {e["args"].get("fp") for e in spans
-                 if e["name"] == "attempt"}
-    assert fps <= attempted
-    # ...and one instant per lease transition: every job was issued a
-    # lease (fresh ledger: first claim is always "issued") and marked
-    # done.
-    issued = {e["args"].get("fp") for e in instants
-              if e["name"] == "lease.issued"}
-    done = {e["args"].get("fp") for e in instants
-            if e["name"] == "lease.done"}
-    assert fps <= issued
-    assert fps <= done
-    # Worker lifetimes and lease holds made it onto the timeline too.
-    assert sum(1 for e in spans if e["name"] == "worker.lifetime") >= 2
-    assert {e["args"].get("fp") for e in spans if e["name"] == "lease"} \
-        >= fps
-    # The fleet's merged metrics reconstruct the campaign tallies.
+    attempts = [e for e in spans if e["name"] == "attempt"]
+    assert sorted(e["args"]["fp"] for e in attempts) == \
+        sorted(job.fingerprint[:16] for job in jobs)
+    campaign = [e for e in spans if e["name"] == "campaign"]
+    assert len(campaign) == 1 and campaign[0]["args"]["mode"] == "pool"
+    assert campaign[0]["pid"] not in {e["pid"] for e in attempts}
+    # ...and the merged metrics reconstruct the campaign tallies.
     counters = doc["repro"]["metrics"]["counters"]
-    assert counters.get("fabric.completed", 0) == len(jobs)
     assert counters.get("campaign.computed", 0) == len(jobs)
+    assert counters.get("campaign.attempts", 0) == len(jobs)
 
 
 def test_trace_off_leaves_no_logs_and_no_probe(tmp_path):
     jobs = _jobs(351)
-    results = run_jobs(jobs, workers=1, memo=False, store=False,
-                       fabric=False)
+    results = run_jobs(jobs, workers=1, memo=False, store=False)
     assert len(results) == len(jobs)
     assert obs_trace.TRACER is None
     assert merge_logs(str(tmp_path / "obs")) == []
