@@ -1,5 +1,6 @@
 """Engine scheduling: parallel == sequential, knob resolution."""
 
+import json
 import pickle
 
 import pytest
@@ -9,11 +10,14 @@ from dataclasses import dataclass
 from repro.exec import (
     RESULT_CACHE,
     CampaignReport,
+    ResultStore,
     RetryPolicy,
     SimJob,
     default_jobs,
     run_jobs,
 )
+from repro.exec import engine
+from repro.exec.store import result_to_payload
 from repro.harness.experiment import ExperimentConfig, run_suite
 
 WORKLOADS = ("mesa_like", "crafty_like", "gzip_like")
@@ -49,6 +53,90 @@ def test_run_jobs_preserves_input_order(workers):
     results = run_jobs(jobs, workers=workers)
     assert [(r.model, r.workload) for r in results] == \
         [(j.model, j.workload) for j in jobs]
+
+
+def _grid(instructions):
+    cfg = ExperimentConfig(instructions=instructions)
+    return [SimJob(m, w, cfg)
+            for w in ("mesa_like", "gzip_like")
+            for m in ("in-order", "runahead", "icfp")]
+
+
+def _payloads(results):
+    return [json.dumps(result_to_payload(r), sort_keys=True)
+            for r in results]
+
+
+def _clean(jobs):
+    return run_jobs(jobs, workers=1, memo=False, store=False)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_campaign_resumes_from_partially_flushed_store(tmp_path, workers):
+    jobs = _grid(580)
+    clean = _clean(jobs)
+    store = ResultStore(str(tmp_path / "store"))
+    # An earlier campaign, cut short, flushed its first four cells.
+    run_jobs(jobs[:4], workers=1, memo=False, store=store)
+    report = CampaignReport()
+    results = run_jobs(jobs, workers=workers, memo=False, store=store,
+                       report=report)
+    assert _payloads(results) == _payloads(clean)
+    assert report.store_hits == 4
+    assert report.computed == report.attempts == len(jobs) - 4
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_repeat_campaign_is_served_from_the_memo(tmp_path, workers):
+    RESULT_CACHE.clear()
+    jobs = _grid(600)
+    store = ResultStore(str(tmp_path / "store"))
+    first = run_jobs(jobs, workers=workers, store=store)
+    report = CampaignReport()
+    second = run_jobs(jobs, workers=workers, store=store, report=report)
+    assert all(a is b for a, b in zip(first, second))
+    assert report.memo_hits == len(jobs)
+    assert report.store_hits == report.attempts == report.computed == 0
+
+
+@pytest.mark.parametrize("env,pools", (("1", []), ("2", [2])))
+def test_repro_jobs_env_picks_the_executor(monkeypatch, env, pools):
+    jobs = _grid(540)
+    clean = _clean(jobs)
+    made = []
+    real_pool = engine._pool
+
+    def counting_pool(workers):
+        made.append(workers)
+        return real_pool(workers)
+
+    monkeypatch.setattr(engine, "_pool", counting_pool)
+    monkeypatch.setenv("REPRO_JOBS", env)
+    results = run_jobs(jobs, memo=False, store=False)
+    assert made == pools
+    assert _payloads(results) == _payloads(clean)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_unwritable_store_is_counted_once_and_results_survive(
+        tmp_path, monkeypatch, workers):
+    jobs = _grid(620)
+    clean = _clean(jobs)
+    store = ResultStore(str(tmp_path / "store"))
+    refused = []
+
+    def refuse(fp, result):
+        refused.append(fp)
+        return False
+
+    monkeypatch.setattr(store, "put_result", refuse)
+    report = CampaignReport()
+    results = run_jobs(jobs, workers=workers, memo=False, store=store,
+                       report=report)
+    assert _payloads(results) == _payloads(clean)
+    assert len(refused) == 1  # the engine stops writing after a refusal
+    assert report.store_errors == 1
+    assert report.computed == len(jobs) and report.ok()
 
 
 def test_simjob_roundtrips_through_pickle():

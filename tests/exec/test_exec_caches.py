@@ -43,6 +43,33 @@ def test_trace_cache_lru_bound():
     assert cache.misses == before + 1  # rebuilt after eviction
 
 
+@pytest.mark.parametrize("workers", (1, 2))
+def test_campaign_builds_each_trace_once(workers):
+    TRACE_CACHE.clear()
+    cfg = ExperimentConfig(instructions=310)
+    jobs = [SimJob(m, w, cfg)
+            for w in ("mesa_like", "gzip_like", "crafty_like")
+            for m in ("in-order", "icfp")]
+    report = CampaignReport()
+    run_jobs(jobs, workers=workers, memo=False, store=False, report=report)
+    assert report.computed == len(jobs)
+    assert TRACE_CACHE.misses == 3
+
+
+def test_sequential_campaign_never_rebuilds_an_evicted_trace(monkeypatch):
+    # Each trace is built just before its own jobs run, so a campaign
+    # with more traces than the cache holds still builds each one once.
+    TRACE_CACHE.clear()
+    monkeypatch.setattr(TRACE_CACHE, "maxsize", 2)
+    cfg = ExperimentConfig(instructions=320)
+    workloads = ("mesa_like", "gzip_like", "crafty_like", "mcf_like")
+    jobs = [SimJob(m, w, cfg) for w in workloads for m in ("in-order", "icfp")]
+    report = CampaignReport()
+    run_jobs(jobs, workers=1, memo=False, store=False, report=report)
+    assert report.computed == len(jobs)
+    assert TRACE_CACHE.misses == len(workloads)
+
+
 def test_result_cache_memoizes_repeat_jobs():
     RESULT_CACHE.clear()
     job = SimJob("in-order", "mesa_like", ExperimentConfig(instructions=300))
